@@ -35,10 +35,15 @@ KERNEL_GROWTH = 16.0
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """The input's text; a byte that does not decode is a parse error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DimacsParseError(f"input is not ASCII text: byte 0x{bad:02x}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -232,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver_flags.add_argument("--interleave-depth", type=int, default=8, metavar="D",
                               help="re-kernelize every D levels (0 = root only)")
     solver_flags.add_argument("--node-budget", type=int, default=10**8, metavar="N")
-    solver_flags.add_argument("--threads", type=int, default=1, metavar="T",
-                              help="reserved; only 1 is implemented")
 
     p = sub.add_parser("solve", parents=[solver_flags], help="decide whether a cover of size k exists")
     p.add_argument("graph", help="DIMACS file, or - for stdin")
@@ -283,8 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     warnings: list[str] = []
-    if getattr(args, "threads", 1) != 1:
-        warnings.append("--threads is reserved; running single-threaded")
     try:
         doc = args.handler(args, warnings)
     except _Usage as exc:

@@ -15,15 +15,21 @@ class Graph:
     has been used it is retired forever on deletion; fresh ids from
     ``add_vertex()`` are strictly larger than any id ever seen, so traces and
     certificates can refer to deleted vertices without ambiguity.
+
+    ``touched`` is None, or a set to which every mutation adds the vertices
+    whose neighborhood it changed; a new vertex counts as changed, and ids
+    deleted later stay in the set. The reductions read it to re-examine only
+    what changed since the graph was last reduced. Copies start untracked.
     """
 
-    __slots__ = ("_adj", "_m", "_next_id", "_retired")
+    __slots__ = ("_adj", "_m", "_next_id", "_retired", "touched")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
         self._next_id = 0
         self._retired: set[int] = set()
+        self.touched: set[int] | None = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> "Graph":
@@ -50,6 +56,8 @@ class Graph:
             raise ValueError(f"vertex id {v} was deleted and may not be reused")
         self._adj[v] = set()
         self._next_id = max(self._next_id, v + 1)
+        if self.touched is not None:
+            self.touched.add(v)
         return v
 
     def add_edge(self, u: int, v: int) -> None:
@@ -62,6 +70,8 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
+            if self.touched is not None:
+                self.touched.update((u, v))
 
     def remove_edge(self, u: int, v: int) -> None:
         if v not in self._adj.get(u, ()):
@@ -69,6 +79,8 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._m -= 1
+        if self.touched is not None:
+            self.touched.update((u, v))
 
     def remove_vertex(self, v: int) -> None:
         nbrs = self._require(v)
@@ -77,6 +89,8 @@ class Graph:
         self._m -= len(nbrs)
         del self._adj[v]
         self._retired.add(v)
+        if self.touched is not None:
+            self.touched.update(nbrs)
 
     def contract_pair(self, keep: int, absorb: int) -> None:
         """Re-home absorb's edges onto keep, then delete absorb.
@@ -104,11 +118,17 @@ class Graph:
         return v in self._adj.get(u, ())
 
     def degree(self, v: int) -> int:
-        return len(self._require(v))
+        try:
+            return len(self._adj[v])
+        except KeyError:
+            return len(self._require(v))  # raises for a dead id
 
     def neighbors(self, v: int) -> set[int]:
         """Live neighbor set. Treat as read-only; mutate via graph methods."""
-        return self._require(v)
+        try:
+            return self._adj[v]
+        except KeyError:
+            return self._require(v)  # raises for a dead id
 
     def closed_neighborhood(self, v: int) -> set[int]:
         return self._require(v) | {v}

@@ -73,20 +73,48 @@ def _double_cover_matching(g: Graph) -> tuple[int, dict[int, int | None], dict[i
                     queue.append(mate)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in nbrs[u]:
+    def augment(root: int) -> bool:
+        """Augment from a free left vertex along the BFS layers, depth first.
+
+        Neighbors are tried in sorted order, as the textbook recursive search
+        tries them, so the matching is the same; deeper vertices go on an
+        explicit stack, so path length is not bounded by the recursion limit.
+        """
+        for w in nbrs[root]:
             mate = pair_r[w]
-            if mate is None or (dist[mate] == dist[u] + 1 and dfs(mate)):
-                pair_l[u] = w
-                pair_r[w] = u
+            if mate is None:
+                pair_l[root] = w
+                pair_r[w] = root
                 return True
-        dist[u] = INF
+            if dist[mate] != dist[root] + 1:
+                continue
+            path = [root, mate]  # each vertex is matched to the right vertex its parent tried
+            pending = [iter(nbrs[mate])]
+            while pending:
+                u = path[-1]
+                for x in pending[-1]:
+                    mate = pair_r[x]
+                    if mate is None:
+                        # flip: every path vertex takes the right vertex its child held
+                        for y in reversed(path):
+                            pair_l[y], x = x, pair_l[y]
+                            pair_r[pair_l[y]] = y
+                        return True
+                    if dist[mate] == dist[u] + 1:
+                        path.append(mate)
+                        pending.append(iter(nbrs[mate]))
+                        break
+                else:
+                    dist[u] = INF
+                    path.pop()
+                    pending.pop()
+        dist[root] = INF
         return False
 
     matching = 0
     while bfs():
         for u in order:
-            if pair_l[u] is None and dfs(u):
+            if pair_l[u] is None and augment(u):
                 matching += 1
     return matching, pair_l, pair_r
 

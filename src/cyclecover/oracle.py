@@ -215,16 +215,3 @@ def max_real_cycle_bruteforce(
         fresh.append(tuple(sorted(first_fresh)))  # type: ignore[arg-type]
         covered = covered | es
     return total, CycleList(cycles=ordered, fresh_edges=fresh)
-
-
-def greedy_real_cycle_count(g: Graph) -> int:
-    """Greedy-maximal ordering in canonical enumeration order. Test-only probe
-    for whether greedy matches the exhaustive maximum on small graphs."""
-    covered: set[frozenset[int]] = set()
-    count = 0
-    for c in enumerate_simple_cycles(g):
-        es = cycle_edges(c)
-        if not es <= covered:
-            covered |= es
-            count += 1
-    return count

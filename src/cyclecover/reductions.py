@@ -134,13 +134,19 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> None:
         trace.fold(u=u, s=s, r=r, kept=r)
 
 
-def reduce_low_degree(g: Graph, trace: ReductionTrace) -> None:
+def reduce_low_degree(
+    g: Graph, trace: ReductionTrace, candidates: Iterable[int] | None = None
+) -> None:
     """Fixpoint of the isolated, degree-1, and degree-2 rules.
 
     Ends with every live vertex at degree >= 3 (possibly the empty graph).
     The lowest-id low-degree vertex is handled first for reproducibility.
+    Given candidates, the caller vouches that no other vertex starts at
+    degree <= 2; ids no longer live are skipped.
     """
-    heap = [v for v in g.vertices() if g.degree(v) <= 2]
+    if candidates is None:
+        candidates = g.vertices()
+    heap = [v for v in candidates if g.has_vertex(v) and g.degree(v) <= 2]
     heapq.heapify(heap)
 
     def touch(vs: Iterable[int]) -> None:
@@ -177,13 +183,21 @@ def reduce_low_degree(g: Graph, trace: ReductionTrace) -> None:
 def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
     """Include one vertex whose closed neighborhood swallows an adjacent
     vertex's. Lowest dominator id first. Returns whether a rule fired."""
-    for u in sorted(g.vertices()):
-        nu = g.closed_neighborhood(u)
-        for v in sorted(g.neighbors(u)):
-            if g.closed_neighborhood(v) <= nu:
-                trace.include(u)
-                g.remove_vertex(u)
-                return True
+    u = _first_dominator(g, set(g.vertices()))
+    if u is None:
+        return False
+    trace.include(u)
+    g.remove_vertex(u)
+    return True
+
+
+def _dominates(g: Graph, u: int) -> bool:
+    """N[v] <= N[u] for some neighbor v; as v lies in N(u), N(v) <= N[u]
+    says the same. Depends only on vertices within distance two of u."""
+    nu = g.closed_neighborhood(u)
+    for v in g.neighbors(u):
+        if g.neighbors(v) <= nu:
+            return True
     return False
 
 
@@ -234,14 +248,53 @@ def struction(g: Graph, u: int, trace: ReductionTrace) -> bool:
 
 
 def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False) -> None:
-    """Run all enabled rules until none applies."""
-    while True:
-        reduce_low_degree(g, trace)
-        if dominated_vertex(g, trace):
-            continue
-        if use_struction and _any_struction(g, trace):
-            continue
-        return
+    """Run all enabled rules until none applies.
+
+    Rules fire exactly as repeated full scans would fire them, lowest id
+    first, but only vertices that may newly match a rule are examined: for
+    the degree rules those whose neighborhood changed, for domination those
+    and their neighbors. A graph with ``g.touched`` set vouches that it was
+    at a fixpoint when tracking began, so only its touched vertices count as
+    changed; otherwise every vertex does. The struction scan is always full.
+    Leaves ``g.touched`` empty when it was set, None otherwise.
+    """
+    tracking = g.touched is not None
+    changed = g.touched  # None: every vertex may match a rule
+    unchecked: set[int] = set()  # domination candidates not yet examined
+    try:
+        while True:
+            g.touched = None if changed is None else set()
+            reduce_low_degree(g, trace, changed)
+            if changed is None:
+                unchecked = set(g.vertices())
+            else:
+                changed |= g.touched
+                for x in changed:
+                    if g.has_vertex(x):
+                        unchecked.add(x)
+                        unchecked |= g.neighbors(x)
+            g.touched = set()
+            u = _first_dominator(g, unchecked)
+            if u is not None:
+                trace.include(u)
+                g.remove_vertex(u)
+            elif not (use_struction and _any_struction(g, trace)):
+                return
+            changed = g.touched
+    finally:
+        if not tracking:
+            g.touched = None
+
+
+def _first_dominator(g: Graph, unchecked: set[int]) -> int | None:
+    """Lowest-id dominator among unchecked; the ids examined leave the set."""
+    order = sorted(unchecked)
+    for i, u in enumerate(order):
+        if g.has_vertex(u) and _dominates(g, u):
+            unchecked.difference_update(order[: i + 1])
+            return u
+    unchecked.clear()
+    return None
 
 
 def _any_struction(g: Graph, trace: ReductionTrace) -> bool:

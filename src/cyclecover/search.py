@@ -8,9 +8,15 @@ satellites, or exclude it by taking its whole neighborhood. Decision mode
 returns on the first branch that fits the budget; minimization mode keeps the
 best and tightens the bound.
 
-Every YES certificate is re-verified before it is returned. Instrumented runs
-track the independent-cycle count tau along all branches: it never increases,
-and deleting a degree-d vertex from a connected graph with a connected result
+A node pays only for what decides its answer: one component scan, one graph
+copy (the include branch; the exclude branch consumes the node's graph), and
+reductions that re-examine only the vertices around what the branch deleted,
+which the graph tracks in ``Graph.touched``.
+
+Every YES certificate is re-verified before it is returned. Runs with
+``instrument_tau`` (off by default; the test suite turns it on) track the
+independent-cycle count tau along all branches: it never increases, and
+deleting a degree-d vertex from a connected graph with a connected result
 drops it by exactly d - 1.
 """
 
@@ -26,7 +32,7 @@ from .kernel import lp_lower_bound, nt_kernelize
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
-from .structure import tau
+from .structure import circuit_rank, tau
 from .treecover import min_vc_forest
 
 ENVELOPE_BASE_PLAIN = 1.15855
@@ -40,7 +46,7 @@ class SolverConfig:
     interleave_depth: int = 8     # re-kernelize every this many levels; 0 = root only
     node_budget: int = 10**8
     depth_limit: int = 10_000
-    instrument_tau: bool = True
+    instrument_tau: bool = False  # check the tau invariants at every branching
 
 
 @dataclass
@@ -109,11 +115,13 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
             stats.k_exhausted_leaves += 1
             return None
     reduce_fixpoint(g, trace, use_struction=ctx.cfg.struction)
+    g.touched = set()  # g is reduced; the children re-examine only what changes
     base = trace.k_delta
     if base > cap:
         stats.k_exhausted_leaves += 1
         return None
-    if g.is_forest():
+    comps = g.connected_components()
+    if g.num_edges() == g.num_vertices() - len(comps):  # a forest
         size, fcover = min_vc_forest(g)
         stats.tree_leaf_count += 1
         if base + size > cap:
@@ -124,7 +132,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
         stats.k_exhausted_leaves += 1
         return None
 
-    comps = g.connected_components()
     if len(comps) > 1:
         return _solve_components(g, comps, cap, base, depth, ctx, trace)
 
@@ -145,6 +152,7 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
         inside_edges = sum(len(g.neighbors(w) & nset) for w in nlist) // 2
 
     g_inc = g.clone()
+    g_inc.touched = set(g.touched)
     g_inc.remove_vertex(v)
     if inst:
         tau_inc = tau(g_inc)
@@ -163,26 +171,25 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
         if first_fit:
             return best
 
-    g_exc = g.clone()
     for w in nlist:
-        g_exc.remove_vertex(w)
-    g_exc.remove_vertex(v)
+        g.remove_vertex(w)
+    g.remove_vertex(v)
     if inst:
-        tau_exc = tau(g_exc)
+        tau_exc = tau(g)
         if tau_exc > tau_here:
             stats.tau_trajectory_ok = False
         # the exclude estimate is certified only for sparse neighborhoods
         if (
             not plan.satellites
             and base_connected
-            and g_exc.is_connected()
-            and g_exc.num_vertices() > 0
+            and g.is_connected()
+            and g.num_vertices() > 0
             and inside_edges <= d - 2
             and tau_here - tau_exc < plan.est_vector[1]
         ):
             stats.est_bound_ok = False
     cap_exc = cap if best is None else best[0] - 1
-    r = _node(g_exc, cap_exc - base - d, depth + 1, ctx, first_fit)
+    r = _node(g, cap_exc - base - d, depth + 1, ctx, first_fit)
     if r is not None:
         size, cov = r
         total = base + d + size
@@ -204,6 +211,8 @@ def _solve_components(
     the budget left over after lower-bounding the others."""
     remaining = cap - base
     subs = [g.induced_subgraph(c) for c in comps]
+    for sub in subs:
+        sub.touched = set()  # a component of a reduced graph is reduced
     bounds = [lp_lower_bound(s) if ctx.lp_bound else 0 for s in subs]
     if sum(bounds) > remaining:
         ctx.stats.k_exhausted_leaves += 1
@@ -235,7 +244,7 @@ def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
         use_kernel=True,
     )
     start = time.perf_counter()
-    stats.tau_root = tau(g)
+    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
     result = _node(g.clone(), k, 0, ctx, first_fit=True)
     stats.wallclock = time.perf_counter() - start
     if result is None:
@@ -256,7 +265,7 @@ def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[i
         use_kernel=False,
     )
     start = time.perf_counter()
-    stats.tau_root = tau(g)
+    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
     result = _node(g.clone(), g.num_vertices(), 0, ctx, first_fit=False)
     stats.wallclock = time.perf_counter() - start
     if result is None:

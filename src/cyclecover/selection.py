@@ -10,7 +10,6 @@ sparse); correctness never depends on them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +28,6 @@ class BranchPlan:
     vertex: int
     satellites: frozenset[int]
     rule_tag: RuleTag
-    note: str
     est_vector: tuple[int, int]
 
 
@@ -60,31 +58,37 @@ def coupled_satellites(g: Graph, v: int) -> frozenset[int]:
     return frozenset(z for z in satellites(g, v) if g.degree(z) >= d - 1)
 
 
-def shortest_cycle_through(g: Graph, v: int) -> int:
-    """Length of the shortest cycle containing v; a large sentinel when v lies
-    on none. One BFS per incident edge, with that edge removed."""
+def shortest_cycle_through(g: Graph, v: int, stop: int | None = None) -> int:
+    """Length of the shortest cycle containing v; n + 1 when v lies on none.
+
+    One BFS from v labels every vertex with the neighbor of v it hangs from.
+    An edge between differently labelled x and y closes a cycle through v of
+    length d(x) + d(y) + 1, and the shortest such cycle has one. Every cycle
+    still unseen when the BFS starts on depth d is at least 2d + 1 long, so
+    with stop the BFS ends once none can be shorter than stop, and the result
+    is min(length, stop).
+    """
     best = g.num_vertices() + 1
-    for w in sorted(g.neighbors(v)):
-        dist = _bfs_avoiding_edge(g, v, w)
-        if dist is not None:
-            best = min(best, dist + 1)
+    if stop is not None and stop < best:
+        best = stop
+    seen = {w: (1, w) for w in g.neighbors(v)}  # vertex -> (depth, label)
+    frontier = list(seen)
+    depth = 1
+    while frontier and 2 * depth + 1 < best:
+        nxt = []
+        for x in frontier:
+            label = seen[x][1]
+            for y in g.neighbors(x):
+                hit = seen.get(y)
+                if hit is None:
+                    if y != v:
+                        seen[y] = (depth + 1, label)
+                        nxt.append(y)
+                elif hit[1] != label and depth + hit[0] + 1 < best:
+                    best = depth + hit[0] + 1
+        frontier = nxt
+        depth += 1
     return best
-
-
-def _bfs_avoiding_edge(g: Graph, src: int, dst: int) -> int | None:
-    seen = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for x in g.neighbors(u):
-            if u == src and x == dst:
-                continue
-            if x not in seen:
-                seen[x] = seen[u] + 1
-                if x == dst:
-                    return seen[x]
-                queue.append(x)
-    return None
 
 
 def select(g: Graph) -> BranchPlan:
@@ -100,7 +104,6 @@ def select(g: Graph) -> BranchPlan:
             vertex=v,
             satellites=coupled_satellites(g, v),
             rule_tag=RuleTag.HIGH_DEGREE,
-            note=f"degree-{maxdeg} vertex, min id among maximum degree",
             est_vector=estimate_vector(g, v),
         )
     if maxdeg == 4:
@@ -108,24 +111,22 @@ def select(g: Graph) -> BranchPlan:
         sats = {u: coupled_satellites(g, u) for u in cands}
         pool = [u for u in cands if sats[u]] or cands
         v = max(pool, key=lambda u: (estimate_vector(g, u)[1], -u))
-        note = (
-            f"degree-4 vertex with {len(sats[v])} coupled satellite(s)"
-            if sats[v]
-            else "degree-4 vertex maximizing the exclude estimate"
-        )
         return BranchPlan(
             vertex=v,
             satellites=sats[v],
             rule_tag=RuleTag.DEGREE4,
-            note=note,
             est_vector=estimate_vector(g, v),
         )
-    # 3-regular: the exclude estimate ties, so bias toward short cycles
-    v = min(sorted(g.vertices()), key=lambda u: (shortest_cycle_through(g, u), u))
+    # 3-regular: the exclude estimate ties, so bias toward short cycles; the
+    # lowest id wins ties, so a later vertex must lie on a strictly shorter one
+    v, shortest = -1, g.num_vertices() + 2
+    for u in sorted(g.vertices()):
+        length = shortest_cycle_through(g, u, stop=shortest)
+        if length < shortest:
+            v, shortest = u, length
     return BranchPlan(
         vertex=v,
         satellites=coupled_satellites(g, v),
         rule_tag=RuleTag.DEGREE3_REGULAR,
-        note=f"3-regular, on a cycle of length {shortest_cycle_through(g, v)}",
         est_vector=estimate_vector(g, v),
     )

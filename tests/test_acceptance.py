@@ -240,12 +240,13 @@ def test_ac11_tree_solver():
 
 def test_ac12_search_invariants_and_determinism():
     flags_ok = True
+    instrumented = SolverConfig(instrument_tau=True)
     for seed in range(120):
         g = mixed_instance(seed, max_n=16)
-        _, _, stats = vc_minimum(g)
+        _, _, stats = vc_minimum(g, instrumented)
         flags_ok &= stats.tau_trajectory_ok and stats.tau_drop_ok and stats.est_bound_ok
         opt = vc_minimum(g)[0]
-        v = vc_decide(g, opt)
+        v = vc_decide(g, opt, instrumented)
         flags_ok &= v.stats.tau_trajectory_ok and v.stats.tau_drop_ok
 
     dim = emit_dimacs(generate("maxdeg3", 30, 13))

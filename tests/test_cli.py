@@ -139,10 +139,18 @@ def test_exit_code_usage():
     assert err.value.code == 2
 
 
-def test_threads_flag_reserved():
-    code, doc = run_doc(["solve", "-", "--k", "3", "--threads", "4"], K4)
-    assert code == 0
-    assert any("reserved" in w for w in doc["warnings"])
+def test_threads_flag_removed():
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "-", "--k", "3", "--threads", "4"], K4)
+    assert err.value.code == 2
+
+
+def test_non_ascii_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "f.col"
+    path.write_bytes("c café\n".encode("utf-8") + K4.encode("ascii"))
+    code, doc = run_doc(["minimize", str(path)])
+    assert code == 3 and doc["error"] == "parse"
+    assert any("not ASCII" in w for w in doc["warnings"])
 
 
 def test_byte_identical_reruns():

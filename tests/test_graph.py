@@ -96,6 +96,22 @@ def test_clone_is_independent():
     assert g.has_vertex(0) and g.num_edges() == 1
 
 
+def test_touched_collects_changed_neighborhoods():
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert g.touched is None
+    g.touched = set()
+    g.remove_vertex(1)
+    assert g.touched == {0, 2}
+    g.add_vertex(9)
+    g.add_edge(3, 8)
+    g.contract_pair(4, 3)
+    assert g.touched == {0, 2, 3, 4, 8, 9}
+    assert g.clone().touched is None
+    g.touched = None
+    g.add_edge(0, 2)
+    assert g.touched is None
+
+
 def test_invariants_hold_under_random_mutation():
     rng = random.Random(42)
     g = gnp(12, 0.3, rng)

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from cyclecover.generators import complete_graph, cycle_graph, star_graph
 from cyclecover.graph import Graph
-from cyclecover.kernel import lp_lower_bound, nt_kernelize
+from cyclecover.kernel import _double_cover_matching, lp_lower_bound, nt_kernelize
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover
 
@@ -104,3 +105,61 @@ def test_clique_lp_is_tight_enough():
     # all-halves LP: value n/2 = 3, so k=2 is provably infeasible
     res = nt_kernelize(g.clone(), 2)
     assert not res.feasible
+
+
+def matching_by_recursive_dfs(g):
+    """Reference: Hopcroft-Karp with the textbook recursive augmenting DFS."""
+    order = sorted(g.vertices())
+    nbrs = {v: sorted(g.neighbors(v)) for v in order}
+    pair_l = {v: None for v in order}
+    pair_r = {v: None for v in order}
+    inf = float("inf")
+    dist = {}
+
+    def bfs():
+        layer = [u for u in order if pair_l[u] is None]
+        for u in order:
+            dist[u] = 0 if pair_l[u] is None else inf
+        found = False
+        while layer:
+            nxt = []
+            for u in layer:
+                for w in nbrs[u]:
+                    mate = pair_r[w]
+                    if mate is None:
+                        found = True
+                    elif dist[mate] == inf:
+                        dist[mate] = dist[u] + 1
+                        nxt.append(mate)
+            layer = nxt
+        return found
+
+    def dfs(u):
+        for w in nbrs[u]:
+            mate = pair_r[w]
+            if mate is None or (dist[mate] == dist[u] + 1 and dfs(mate)):
+                pair_l[u] = w
+                pair_r[w] = u
+                return True
+        dist[u] = inf
+        return False
+
+    size = 0
+    while bfs():
+        size += sum(1 for u in order if pair_l[u] is None and dfs(u))
+    return size, pair_l, pair_r
+
+
+def test_matching_equals_recursive_reference():
+    for seed in range(120):
+        g = mixed_instance(seed, max_n=40)
+        assert _double_cover_matching(g) == matching_by_recursive_dfs(g), seed
+
+
+def test_long_cycle_within_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert lp_lower_bound(cycle_graph(5001)) == 2501
+    finally:
+        sys.setrecursionlimit(limit)

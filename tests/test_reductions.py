@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cyclecover.generators import generate, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import (
@@ -151,3 +152,71 @@ def test_lift_is_order_sensitive_replay():
         assert {entry.s, entry.r} <= lifted
     else:
         assert entry.u in lifted
+
+
+def reduce_by_full_rescans(g, trace, use_struction):
+    """Reference fixpoint: after every firing each rule rescans the graph."""
+    while True:
+        reduce_low_degree(g, trace)
+        dominator = next(
+            (
+                u
+                for u in sorted(g.vertices())
+                if any(g.closed_neighborhood(v) <= g.closed_neighborhood(u) for v in g.neighbors(u))
+            ),
+            None,
+        )
+        if dominator is not None:
+            trace.include(dominator)
+            g.remove_vertex(dominator)
+            continue
+        if use_struction and any(
+            g.degree(u) == 3 and struction(g, u, trace) for u in sorted(g.vertices())
+        ):
+            continue
+        return
+
+
+def reducible_instance(seed):
+    """Disjoint union of a few random graphs, so that rules fire in several
+    places at once."""
+    rng = random.Random(seed)
+    g = Graph()
+    for part in range(rng.randrange(1, 4)):
+        n = rng.randrange(12, 40)
+        if rng.random() < 0.3:
+            piece = generate("cubic", n + n % 2, rng.randrange(10**9))
+        else:
+            piece = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=3 * n)
+        for u, v in piece.edges():
+            g.add_edge(100 * part + u, 100 * part + v)
+    return g
+
+
+@pytest.mark.parametrize("use_struction", [False, True])
+def test_dirty_fixpoint_matches_full_rescans(use_struction):
+    rng = random.Random(17)
+    fired = 0
+    for seed in range(150):
+        g = reducible_instance(seed)
+        ref = g.clone()
+        t, t_ref = ReductionTrace(), ReductionTrace()
+        reduce_fixpoint(g, t, use_struction)
+        reduce_by_full_rescans(ref, t_ref, use_struction)
+        assert t.entries == t_ref.entries and g.touched is None, seed
+
+        # a reduced graph that tracks its changes loses a few vertices, as a
+        # branch does; only the vertices around them are re-examined
+        g.touched = set()
+        live = sorted(g.vertices())
+        for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
+            g.remove_vertex(v)
+        ref = g.clone()
+        t, t_ref = ReductionTrace(), ReductionTrace()
+        reduce_fixpoint(g, t, use_struction)
+        reduce_by_full_rescans(ref, t_ref, use_struction)
+        assert t.entries == t_ref.entries, seed
+        assert g.edge_set() == ref.edge_set() and sorted(g.vertices()) == sorted(ref.vertices()), seed
+        assert g.touched == set()
+        fired += len(t.entries)
+    assert fired > 500

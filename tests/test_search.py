@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cyclecover.errors import ResourceLimitError
-from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph
+from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.search import (
@@ -54,7 +54,7 @@ def test_k_zero():
 
 @pytest.mark.parametrize("struction", [False, True])
 def test_minimum_matches_oracle(struction):
-    cfg = SolverConfig(struction=struction)
+    cfg = SolverConfig(struction=struction, instrument_tau=True)
     for seed in range(150):
         g = mixed_instance(seed, max_n=16)
         opt, _ = min_vc_bruteforce(g)
@@ -139,3 +139,28 @@ def test_deterministic_covers():
         for _ in range(2):
             again = vc_minimum(g)
             assert again[0] == first[0] and again[1] == first[1]
+
+
+# (graph, optimum, nodes in vc_minimum, nodes in vc_decide at optimum - 1),
+# recorded before the per-node work was cut; the search tree must not move
+PINNED_NODES = [
+    (("cubic", 1), 34, 31, 37),
+    (("cubic", 2), 33, 17, 23),
+    (("cubic", 3), 33, 23, 33),
+    (("maxdeg5", 1), 30, 53, 65),
+    (("maxdeg5", 2), 31, 31, 39),
+    (("maxdeg5", 3), 31, 31, 39),
+]
+
+
+@pytest.mark.parametrize("instance, opt, min_nodes, no_nodes", PINNED_NODES)
+def test_node_counts_pinned(instance, opt, min_nodes, no_nodes):
+    model, seed = instance
+    if model == "cubic":
+        g = generate("cubic", 60, seed)
+    else:
+        g = random_max_degree(50, random.Random(seed), max_deg=5, proposals=250)
+    size, _, stats = vc_minimum(g)
+    assert (size, stats.nodes_expanded) == (opt, min_nodes)
+    verdict = vc_decide(g, opt - 1)
+    assert (verdict.answer, verdict.stats.nodes_expanded) == ("NO", no_nodes)

@@ -1,6 +1,9 @@
+import random
+from collections import deque
+
 import pytest
 
-from cyclecover.generators import complete_graph, petersen_graph
+from cyclecover.generators import complete_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.selection import (
     RuleTag,
@@ -9,6 +12,8 @@ from cyclecover.selection import (
     select,
     shortest_cycle_through,
 )
+
+from conftest import gnp
 
 
 def prism():
@@ -92,3 +97,47 @@ def test_select_rejects_unreduced_input():
         select(Graph())
     with pytest.raises(ValueError):
         select(Graph.from_edges([(0, 1), (1, 2)]))
+
+
+def cycle_through_per_edge(g, v):
+    """Reference: one BFS per edge at v with that edge removed."""
+    best = g.num_vertices() + 1
+    for w in g.neighbors(v):
+        seen = {v: 0}
+        queue = deque([v])
+        while queue and w not in seen:
+            u = queue.popleft()
+            for x in g.neighbors(u):
+                if x not in seen and (u, x) != (v, w):
+                    seen[x] = seen[u] + 1
+                    queue.append(x)
+        if w in seen:
+            best = min(best, seen[w] + 1)
+    return best
+
+
+def test_shortest_cycle_matches_per_edge_bfs():
+    rng = random.Random(7)
+    checked = 0
+    for seed in range(60):
+        n = rng.randrange(4, 40)
+        g = [
+            gnp(n, rng.uniform(0.05, 0.3), rng),
+            random_max_degree(n, rng, max_deg=rng.choice((3, 4, 5))),
+            generate("cubic", n + n % 2, seed),
+        ][seed % 3]
+        for v in sorted(g.vertices()):
+            want = cycle_through_per_edge(g, v)
+            assert shortest_cycle_through(g, v) == want, (seed, v)
+            for stop in range(1, want + 3):
+                # a stop never hides a cycle shorter than itself
+                assert shortest_cycle_through(g, v, stop) == min(want, stop), (seed, v, stop)
+            checked += 1
+    assert checked > 1000
+
+
+def test_cubic_rule_matches_reference_choice():
+    for seed in range(40):
+        g = generate("cubic", 8 + 2 * (seed % 20), seed)
+        want = min(sorted(g.vertices()), key=lambda u: (cycle_through_per_edge(g, u), u))
+        assert select(g).vertex == want, seed
