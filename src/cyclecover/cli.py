@@ -9,6 +9,7 @@ stdout and ignore stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -38,7 +39,8 @@ def _read_input(path: str) -> str:
     """The input's text; a byte that does not decode is a parse error."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            # decoded and newline-translated exactly as a file opened below
+            return io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="ascii").read()
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -47,13 +49,7 @@ def _read_input(path: str) -> str:
 
 
 def _solver_config(args) -> SolverConfig:
-    lp = {"auto": None, "on": True, "off": False}[args.lp_bound]
-    return SolverConfig(
-        struction=args.struction,
-        lp_bound=lp,
-        interleave_depth=args.interleave_depth,
-        node_budget=args.node_budget,
-    )
+    return SolverConfig(struction=args.struction, node_budget=args.node_budget)
 
 
 def _stats_doc(stats: SearchStats, k: int) -> dict:
@@ -230,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--struction", action="store_true", help="enable the struction rule")
-    solver_flags.add_argument(
-        "--lp-bound", choices=("auto", "on", "off"), default="auto",
-        help="LP pruning: auto = on for minimize, off for solve",
-    )
-    solver_flags.add_argument("--interleave-depth", type=int, default=8, metavar="D",
-                              help="re-kernelize every D levels (0 = root only)")
     solver_flags.add_argument("--node-budget", type=int, default=10**8, metavar="N")
 
     p = sub.add_parser("solve", parents=[solver_flags], help="decide whether a cover of size k exists")

@@ -1,12 +1,18 @@
 """Branch-and-reduce decision and minimization engines.
 
-One recursive node procedure serves both entry points. A node kernelizes
-(decision mode), reduces to minimum degree 3, hands forests to the linear
-solver, splits into components (solved independently to their minima), and
-otherwise branches on a selected vertex: include it with its coupled
-satellites, or exclude it by taking its whole neighborhood. Decision mode
-returns on the first branch that fits the budget; minimization mode keeps the
-best and tightens the bound.
+One recursive node procedure serves both entry points. A node reduces to
+minimum degree 3, hands forests to the linear solver, prunes when the LP
+lower bound exceeds the budget, splits into components (solved independently
+to their minima), and otherwise branches on a selected vertex: include it with
+its coupled satellites, or exclude it by taking its whole neighborhood.
+Decision mode returns on the first branch that fits the budget; minimization
+mode keeps the best and tightens the bound.
+
+The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
+feasible), so a node pays for the matching behind the LP bound only when
+ceil(n/2) could exceed its budget. The LP bound after reductions is at least
+as strong as the Nemhauser-Trotter kernel's infeasibility test before them
+(every rule keeps LP(G) <= LP(G') + cost), so the search runs no NT kernel.
 
 A node pays only for what decides its answer: one component scan, one graph
 copy (the include branch; the exclude branch consumes the node's graph), and
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .graph import Graph
-from .kernel import lp_lower_bound, nt_kernelize
+from .kernel import lp_lower_bound
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
@@ -42,8 +48,6 @@ ENVELOPE_BASE_INTERLEAVED = 1.1504
 @dataclass
 class SolverConfig:
     struction: bool = False
-    lp_bound: bool | None = None  # None: on for minimize, off for decide
-    interleave_depth: int = 8     # re-kernelize every this many levels; 0 = root only
     node_budget: int = 10**8
     depth_limit: int = 10_000
     instrument_tau: bool = False  # check the tau invariants at every branching
@@ -74,14 +78,6 @@ class Verdict:
 class _Ctx:
     cfg: SolverConfig
     stats: SearchStats
-    lp_bound: bool
-    use_kernel: bool
-
-
-def _kernel_due(depth: int, every: int) -> bool:
-    if depth == 0:
-        return True
-    return every > 0 and depth % every == 0
 
 
 def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[int, set[int]] | None:
@@ -109,11 +105,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
         return None
 
     trace = ReductionTrace()
-    if first_fit and ctx.use_kernel and _kernel_due(depth, ctx.cfg.interleave_depth):
-        kres = nt_kernelize(g, cap, trace)
-        if not kres.feasible:
-            stats.k_exhausted_leaves += 1
-            return None
     reduce_fixpoint(g, trace, use_struction=ctx.cfg.struction)
     g.touched = set()  # g is reduced; the children re-examine only what changes
     base = trace.k_delta
@@ -128,7 +119,7 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
             stats.k_exhausted_leaves += 1
             return None
         return base + size, lift_cover(trace, fcover)
-    if ctx.lp_bound and base + lp_lower_bound(g) > cap:
+    if base + (g.num_vertices() + 1) // 2 > cap and base + lp_lower_bound(g) > cap:
         stats.k_exhausted_leaves += 1
         return None
 
@@ -213,7 +204,7 @@ def _solve_components(
     subs = [g.induced_subgraph(c) for c in comps]
     for sub in subs:
         sub.touched = set()  # a component of a reduced graph is reduced
-    bounds = [lp_lower_bound(s) if ctx.lp_bound else 0 for s in subs]
+    bounds = [lp_lower_bound(s) for s in subs]
     if sum(bounds) > remaining:
         ctx.stats.k_exhausted_leaves += 1
         return None
@@ -237,12 +228,7 @@ def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
         raise ValueError("k must be non-negative")
     cfg = config or SolverConfig()
     stats = SearchStats()
-    ctx = _Ctx(
-        cfg=cfg,
-        stats=stats,
-        lp_bound=cfg.lp_bound if cfg.lp_bound is not None else False,
-        use_kernel=True,
-    )
+    ctx = _Ctx(cfg=cfg, stats=stats)
     start = time.perf_counter()
     stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
     result = _node(g.clone(), k, 0, ctx, first_fit=True)
@@ -258,12 +244,7 @@ def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[i
     """Exact minimum vertex cover with certificate."""
     cfg = config or SolverConfig()
     stats = SearchStats()
-    ctx = _Ctx(
-        cfg=cfg,
-        stats=stats,
-        lp_bound=cfg.lp_bound if cfg.lp_bound is not None else True,
-        use_kernel=False,
-    )
+    ctx = _Ctx(cfg=cfg, stats=stats)
     start = time.perf_counter()
     stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
     result = _node(g.clone(), g.num_vertices(), 0, ctx, first_fit=False)

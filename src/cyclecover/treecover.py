@@ -12,10 +12,11 @@ def min_vc_forest(g: Graph) -> tuple[int, set[int]]:
     minimum cover, so take it, discard the covered star, repeat.
 
     Leaves are consumed in ascending id order, which fixes the certificate.
-    Isolated vertices never enter the cover. Raises on cyclic input.
+    Isolated vertices never enter the cover. Every step is the safe leaf rule,
+    so a run that strips every edge returns a minimum cover, even of a graph
+    whose cycles a taken vertex broke; raises ValueError when a cycle
+    survives stripping.
     """
-    if not g.is_forest():
-        raise ValueError("min_vc_forest needs an acyclic graph")
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
     heap = [v for v, nbrs in adj.items() if len(nbrs) == 1]
     heapq.heapify(heap)
@@ -32,4 +33,6 @@ def min_vc_forest(g: Graph) -> tuple[int, set[int]]:
             if len(adj[x]) == 1:
                 heapq.heappush(heap, x)
         del adj[w]
+    if any(adj.values()):
+        raise ValueError("min_vc_forest needs an acyclic graph: a cycle survived leaf stripping")
     return len(cover), cover

@@ -257,7 +257,7 @@ def test_ac12_search_invariants_and_determinism():
             import sys
 
             old = sys.stdin
-            sys.stdin = io.StringIO(dim)
+            sys.stdin = io.TextIOWrapper(io.BytesIO(dim.encode("ascii")))
             try:
                 cli_main(["minimize", "-"])
             finally:

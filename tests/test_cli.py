@@ -18,9 +18,11 @@ K4 = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 
 
 def run(argv, stdin=""):
+    """Run the CLI in-process; stdin is text (ASCII) or raw bytes."""
     out = io.StringIO()
     old = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    data = stdin if isinstance(stdin, bytes) else stdin.encode("ascii")
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
     try:
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -145,12 +147,25 @@ def test_threads_flag_removed():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--lp-bound", "on"], ["--interleave-depth", "0"]])
+def test_lp_and_interleave_flags_removed(flag):
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "-", "--k", "3", *flag], K4)
+    assert err.value.code == 2
+
+
 def test_non_ascii_file_is_a_parse_error(tmp_path):
     path = tmp_path / "f.col"
     path.write_bytes("c café\n".encode("utf-8") + K4.encode("ascii"))
     code, doc = run_doc(["minimize", str(path)])
     assert code == 3 and doc["error"] == "parse"
     assert any("not ASCII" in w for w in doc["warnings"])
+
+
+def test_non_ascii_stdin_is_a_parse_error():
+    code, doc = run_doc(["minimize", "-"], b"c caf\xff\np edge 2 1\ne 1 2\n")
+    assert code == 3 and doc["error"] == "parse"
+    assert any("not ASCII text: byte 0xff" in w for w in doc["warnings"])
 
 
 def test_byte_identical_reruns():

@@ -9,7 +9,7 @@ from cyclecover.kernel import _double_cover_matching, lp_lower_bound, nt_kerneli
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover
 
-from conftest import mixed_instance
+from conftest import gnp, mixed_instance
 
 
 def lp_weights(g, part):
@@ -73,6 +73,22 @@ def test_lp_lower_bound_at_most_optimum():
         g = mixed_instance(seed, max_n=14)
         opt, _ = min_vc_bruteforce(g)
         assert lp_lower_bound(g) <= opt, seed
+
+
+def test_lp_lower_bound_at_most_half_the_vertices():
+    # x = 1/2 everywhere is feasible, which the search uses to skip the LP
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = gnp(rng.randrange(1, 30), rng.choice((0.1, 0.3, 0.6)), rng)
+        assert lp_lower_bound(g) <= (g.num_vertices() + 1) // 2, seed
+
+
+def test_kernel_infeasible_exactly_when_lp_exceeds_k():
+    for seed in range(40):
+        g = mixed_instance(seed, max_n=16)
+        lp = lp_lower_bound(g)
+        for k in range(g.num_vertices() + 1):
+            assert nt_kernelize(g.clone(), k).feasible == (lp <= k), (seed, k)
 
 
 def test_kernel_preserves_optimum_through_lift():

@@ -14,6 +14,17 @@ def test_rejects_cycles():
         min_vc_forest(cycle_graph(4))
 
 
+def test_cycle_broken_by_stripping_gets_a_minimum_cover():
+    # the pendant's neighbor is taken first, which leaves the triangle a path
+    g = cycle_graph(3)
+    g.add_edge(0, 3)
+    size, cover = min_vc_forest(g)
+    assert size == 2 == min_vc_bruteforce(g)[0]
+    assert is_vertex_cover(g, cover)
+    with pytest.raises(ValueError, match="cycle"):
+        min_vc_forest(cycle_graph(3))
+
+
 def test_empty_and_isolated():
     assert min_vc_forest(Graph()) == (0, set())
     g = Graph()
