@@ -6,13 +6,20 @@ ASCII spaces; lines end with LF or CRLF. Parsed graphs keep the 1-based ids.
 Duplicate edge lines collapse to one edge and are reported through the
 warnings list rather than rejected.
 
+A header may declare at most MAX_VERTICES vertices; a larger count raises
+ResourceLimitError before any vertex is allocated.
+
 A cover file is one vertex id per line, 1-based, LF-terminated.
 """
 
 from __future__ import annotations
 
-from .errors import DimacsParseError
+from .errors import DimacsParseError, ResourceLimitError
 from .graph import Graph
+
+# 50 times the largest benchmark graph; the vertices are allocated from the
+# header alone, so an unchecked count would hang the parser
+MAX_VERTICES = 10**6
 
 
 def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
@@ -44,6 +51,10 @@ def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
                 raise DimacsParseError(f"non-integer header field in {line!r}", idx) from None
             if n < 0 or m < 0:
                 raise DimacsParseError("negative count in header", idx)
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {idx}: header declares {n} vertices, above the limit of {MAX_VERTICES}"
+                )
             header_seen = True
             for v in range(1, n + 1):
                 g.add_vertex(v)

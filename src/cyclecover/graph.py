@@ -82,7 +82,8 @@ class Graph:
         if self.touched is not None:
             self.touched.update((u, v))
 
-    def remove_vertex(self, v: int) -> None:
+    def remove_vertex(self, v: int) -> set[int]:
+        """Delete v with its edges; returns its former neighbor set."""
         nbrs = self._require(v)
         for w in nbrs:
             self._adj[w].discard(v)
@@ -91,23 +92,38 @@ class Graph:
         self._retired.add(v)
         if self.touched is not None:
             self.touched.update(nbrs)
+        return nbrs
 
-    def contract_pair(self, keep: int, absorb: int) -> None:
+    def contract_pair(self, keep: int, absorb: int) -> set[int]:
         """Re-home absorb's edges onto keep, then delete absorb.
 
         Parallel edges collapse; a keep-absorb edge becomes a self-loop and is
-        dropped.
+        dropped. Returns the common neighbors, the vertices whose degree fell.
+        ``touched`` gains absorb and its neighbors, and keep when it gained
+        an edge, as the equivalent edge-by-edge moves would record.
         """
         if keep == absorb:
             raise ValueError("contract_pair needs two distinct vertices")
-        self._require(keep)
+        adj = self._adj
+        kept = self._require(keep)
         nbrs = self._require(absorb)
-        for w in list(nbrs):
-            self.remove_edge(absorb, w)
-            if w != keep:
-                self.add_edge(keep, w)
-        del self._adj[absorb]
+        common = nbrs & kept
+        fresh = nbrs - common
+        fresh.discard(keep)
+        for w in nbrs:
+            adj[w].discard(absorb)
+        for w in fresh:
+            adj[w].add(keep)
+        kept |= fresh
+        self._m -= len(nbrs) - len(fresh)
+        del adj[absorb]
         self._retired.add(absorb)
+        if self.touched is not None and nbrs:
+            self.touched.update(nbrs)
+            self.touched.add(absorb)
+            if fresh:
+                self.touched.add(keep)
+        return common
 
     # queries
 
@@ -122,6 +138,11 @@ class Graph:
             return len(self._adj[v])
         except KeyError:
             return len(self._require(v))  # raises for a dead id
+
+    def adjacency(self) -> dict[int, set[int]]:
+        """Live vertex -> neighbor set. Read-only, like ``neighbors``; for
+        hot loops that would otherwise pay a method call per lookup."""
+        return self._adj
 
     def neighbors(self, v: int) -> set[int]:
         """Live neighbor set. Treat as read-only; mutate via graph methods."""

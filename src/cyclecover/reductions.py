@@ -111,8 +111,8 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
     return cover
 
 
-def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> None:
-    """Resolve a degree-2 vertex.
+def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
+    """Resolve a degree-2 vertex; returns the live vertices whose degree fell.
 
     Adjacent neighbors: both join the cover (k_delta += 2). Otherwise the
     triple {s, u, r} contracts into r (k_delta += 1) and the lift decides
@@ -124,14 +124,18 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> None:
     if g.has_edge(s, r):
         trace.include(s)
         trace.include(r)
-        g.remove_vertex(s)
-        g.remove_vertex(r)
+        fell = g.remove_vertex(s)
+        fell |= g.remove_vertex(r)
         trace.delete_isolated(u)
         g.remove_vertex(u)
+        fell.discard(u)
+        fell.discard(r)
     else:
         g.remove_vertex(u)
-        g.contract_pair(r, s)
+        fell = g.contract_pair(r, s)
+        fell.add(r)
         trace.fold(u=u, s=s, r=r, kept=r)
+    return fell
 
 
 def reduce_low_degree(
@@ -144,40 +148,33 @@ def reduce_low_degree(
     Given candidates, the caller vouches that no other vertex starts at
     degree <= 2; ids no longer live are skipped.
     """
+    adj = g.adjacency()
     if candidates is None:
-        candidates = g.vertices()
-    heap = [v for v in candidates if g.has_vertex(v) and g.degree(v) <= 2]
+        candidates = adj
+    heap = [v for v in candidates if v in adj and len(adj[v]) <= 2]
     heapq.heapify(heap)
-
-    def touch(vs: Iterable[int]) -> None:
-        for x in vs:
-            if g.has_vertex(x) and g.degree(x) <= 2:
-                heapq.heappush(heap, x)
-
+    # every live vertex of degree <= 2 stays queued, so only a vertex whose
+    # degree fell can newly qualify
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        v = heapq.heappop(heap)
-        if not g.has_vertex(v):
+        v = heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > 2:
             continue
-        d = g.degree(v)
-        if d > 2:
-            continue
-        if d == 0:
+        if not nbrs:
             trace.delete_isolated(v)
             g.remove_vertex(v)
-        elif d == 1:
+            continue
+        if len(nbrs) == 1:
             # the neighbor of a pendant vertex lies in some minimum cover
-            w = next(iter(g.neighbors(v)))
-            affected = set(g.neighbors(w)) - {v}
+            (w,) = nbrs
             trace.include(w)
-            g.remove_vertex(w)
-            touch(affected | {v})
+            fell = g.remove_vertex(w)
         else:
-            s, r = sorted(g.neighbors(v))
-            affected = (set(g.neighbors(s)) | set(g.neighbors(r))) - {v, s, r}
-            fold_degree2(g, v, trace)
-            touch(affected)
-            if g.has_vertex(r):
-                touch([r])
+            fell = fold_degree2(g, v, trace)
+        for x in fell:
+            if len(adj[x]) <= 2:
+                heappush(heap, x)
 
 
 def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
@@ -189,16 +186,6 @@ def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
     trace.include(u)
     g.remove_vertex(u)
     return True
-
-
-def _dominates(g: Graph, u: int) -> bool:
-    """N[v] <= N[u] for some neighbor v; as v lies in N(u), N(v) <= N[u]
-    says the same. Depends only on vertices within distance two of u."""
-    nu = g.closed_neighborhood(u)
-    for v in g.neighbors(u):
-        if g.neighbors(v) <= nu:
-            return True
-    return False
 
 
 def satellites(g: Graph, u: int) -> set[int]:
@@ -258,6 +245,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
     changed; otherwise every vertex does. The struction scan is always full.
     Leaves ``g.touched`` empty when it was set, None otherwise.
     """
+    adj = g.adjacency()
     tracking = g.touched is not None
     changed = g.touched  # None: every vertex may match a rule
     unchecked: set[int] = set()  # domination candidates not yet examined
@@ -266,13 +254,14 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
             g.touched = None if changed is None else set()
             reduce_low_degree(g, trace, changed)
             if changed is None:
-                unchecked = set(g.vertices())
+                unchecked = set(adj)
             else:
                 changed |= g.touched
                 for x in changed:
-                    if g.has_vertex(x):
+                    nbrs = adj.get(x)
+                    if nbrs is not None:
                         unchecked.add(x)
-                        unchecked |= g.neighbors(x)
+                        unchecked |= nbrs
             g.touched = set()
             u = _first_dominator(g, unchecked)
             if u is not None:
@@ -287,12 +276,24 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
 
 
 def _first_dominator(g: Graph, unchecked: set[int]) -> int | None:
-    """Lowest-id dominator among unchecked; the ids examined leave the set."""
+    """Lowest-id dominator among unchecked; the ids examined leave the set.
+
+    u dominates a neighbor v when N(v) <= N[u]. As u lies in N(v) but not
+    in N(u), that holds iff v has no other neighbor or every other neighbor
+    of v lies in N(u); the disjointness test settles the common triangle-free
+    case without building a set.
+    """
+    adj = g.adjacency()
     order = sorted(unchecked)
     for i, u in enumerate(order):
-        if g.has_vertex(u) and _dominates(g, u):
-            unchecked.difference_update(order[: i + 1])
-            return u
+        nu = adj.get(u)
+        if nu is None:
+            continue
+        for v in nu:
+            nv = adj[v]
+            if len(nv) == 1 or (not nv.isdisjoint(nu) and len(nv & nu) == len(nv) - 1):
+                unchecked.difference_update(order[: i + 1])
+                return u
     unchecked.clear()
     return None
 

@@ -29,6 +29,7 @@ drops it by exactly d - 1.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -222,6 +223,18 @@ def _solve_components(
     return base + total, lift_cover(trace, cover)
 
 
+def _search(g: Graph, cap: int, ctx: _Ctx, first_fit: bool) -> tuple[int, set[int]] | None:
+    """Run the search on a copy of g; a dive deeper than the interpreter's
+    recursion limit becomes a ResourceLimitError, as the other guards are."""
+    try:
+        return _node(g.clone(), cap, 0, ctx, first_fit)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"search depth {ctx.stats.max_depth} reached the interpreter's recursion limit "
+            f"{sys.getrecursionlimit()}"
+        ) from None
+
+
 def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
     """Does g have a vertex cover of size at most k? Certificates on YES."""
     if k < 0:
@@ -231,7 +244,7 @@ def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
     ctx = _Ctx(cfg=cfg, stats=stats)
     start = time.perf_counter()
     stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
-    result = _node(g.clone(), k, 0, ctx, first_fit=True)
+    result = _search(g, k, ctx, first_fit=True)
     stats.wallclock = time.perf_counter() - start
     if result is None:
         return Verdict(answer="NO", cover=None, k=k, stats=stats)
@@ -247,7 +260,7 @@ def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[i
     ctx = _Ctx(cfg=cfg, stats=stats)
     start = time.perf_counter()
     stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
-    result = _node(g.clone(), g.num_vertices(), 0, ctx, first_fit=False)
+    result = _search(g, g.num_vertices(), ctx, first_fit=False)
     stats.wallclock = time.perf_counter() - start
     if result is None:
         raise AssertionError("minimization found no cover within n, which is impossible")

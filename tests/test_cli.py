@@ -3,13 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from cyclecover.cli import main
-from cyclecover.dimacs import emit_dimacs
+from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
 from cyclecover.generators import generate, petersen_graph
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema" / "result.json").read_text())
@@ -130,6 +131,15 @@ def test_exit_code_resource_limit():
     path = "\n".join(["p edge 30 29"] + [f"e {i} {i + 1}" for i in range(1, 30)]) + "\n"
     code, doc = run_doc(["oracle", "-"], path)
     assert code == 4 and doc["error"] == "resource_limit"
+
+
+@pytest.mark.parametrize("n", [99999999999999999999, MAX_VERTICES + 1])
+def test_oversized_header_is_a_resource_limit(n):
+    start = time.perf_counter()
+    code, doc = run_doc(["minimize", "-"], f"p edge {n} 0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and doc["error"] == "resource_limit"
+    assert any(f"declares {n} vertices" in w for w in doc["warnings"])
 
 
 def test_exit_code_usage():

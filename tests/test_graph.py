@@ -36,7 +36,7 @@ def test_add_vertex_returns_fresh_ids():
 
 def test_remove_vertex_cleans_edges():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
-    g.remove_vertex(1)
+    assert g.remove_vertex(1) == {0, 2}
     assert g.num_edges() == 1
     assert not g.has_vertex(1)
     assert g.degree(0) == 1
@@ -46,7 +46,7 @@ def test_remove_vertex_cleans_edges():
 def test_contract_pair_rehomes_and_drops_parallels():
     # absorb 1 into 0: edge 1-2 moves to 0-2, edge 0-2 already there stays single
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (1, 3)])
-    g.contract_pair(keep=0, absorb=1)
+    assert g.contract_pair(keep=0, absorb=1) == {2}  # the common neighbors
     assert not g.has_vertex(1)
     assert g.has_edge(0, 2) and g.has_edge(0, 3)
     assert g.num_edges() == 2
@@ -55,8 +55,29 @@ def test_contract_pair_rehomes_and_drops_parallels():
 
 def test_contract_pair_drops_mutual_edge():
     g = Graph.from_edges([(0, 1)])
-    g.contract_pair(keep=0, absorb=1)
+    assert g.contract_pair(keep=0, absorb=1) == set()
     assert g.num_edges() == 0 and g.has_vertex(0)
+
+
+def test_contract_pair_matches_edge_moves():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(2, 9)
+        g = Graph.from_edges(
+            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4],
+            vertices=range(n),
+        )
+        keep, absorb = rng.sample(range(n), 2)
+        common = g.neighbors(keep) & g.neighbors(absorb)
+        ref = g.clone()
+        for w in sorted(ref.neighbors(absorb)):
+            ref.remove_edge(absorb, w)
+            if w != keep:
+                ref.add_edge(keep, w)
+        ref.remove_vertex(absorb)
+        assert g.contract_pair(keep, absorb) == common
+        assert g.edge_set() == ref.edge_set() and g.num_edges() == ref.num_edges()
+        g.check_invariants()
 
 
 def test_components_ordered_by_minimum_member():
@@ -106,6 +127,19 @@ def test_touched_collects_changed_neighborhoods():
     g.add_edge(3, 8)
     g.contract_pair(4, 3)
     assert g.touched == {0, 2, 3, 4, 8, 9}
+    # absorb and its neighbors count as changed, keep only if it gained an edge
+    g.add_edge(5, 2)
+    g.add_edge(5, 8)
+    g.touched = set()
+    assert g.contract_pair(4, 5) == {2, 8}
+    assert g.touched == {2, 5, 8}
+    g.add_edge(6, 0)
+    g.touched = set()
+    assert g.contract_pair(4, 6) == set()
+    assert g.touched == {0, 4, 6}
+    g.touched = set()
+    g.contract_pair(4, 9)  # an isolated vertex changes no neighborhood
+    assert g.touched == set()
     assert g.clone().touched is None
     g.touched = None
     g.add_edge(0, 2)

@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -161,3 +164,62 @@ def test_node_counts_pinned(instance, opt, min_nodes, no_nodes):
     assert (size, stats.nodes_expanded) == (opt, min_nodes)
     verdict = vc_decide(g, opt - 1)
     assert (verdict.answer, verdict.stats.nodes_expanded) == ("NO", no_nodes)
+
+
+def same_tree_corpus():
+    """About 60 small graphs that reach every selection rule and branch."""
+    for seed in range(36):
+        yield mixed_instance(seed, max_n=40)
+    for seed in range(1, 13):
+        yield generate("cubic", 52 + 4 * seed, seed)
+    for seed in range(1, 13):
+        n = 50 + 2 * seed
+        yield random_max_degree(n, random.Random(seed), max_deg=5, proposals=5 * n)
+
+
+def search_fingerprint(answer, cover, stats):
+    return (
+        answer,
+        None if cover is None else sorted(cover),
+        stats.nodes_expanded,
+        stats.max_depth,
+        stats.tree_leaf_count,
+    )
+
+
+# sha256 over the fingerprints of vc_minimum (default and struction) and
+# vc_decide at the optimum and one below, recorded on the solver before the
+# reductions were reworked around the raw adjacency sets. A change that keeps
+# every search tree and certificate keeps the digest; a change that means to
+# alter the search re-pins it and says why.
+SAME_TREE_DIGEST = "9d5ed2851f1bee3e02c5257d8a8fb8994d09584f66d219b8bc3a1c169cc7ea24"
+
+
+def test_search_trees_and_certificates_pinned():
+    digest = hashlib.sha256()
+    for g in same_tree_corpus():
+        size, cover, stats = vc_minimum(g)
+        rows = [search_fingerprint(size, cover, stats)]
+        rows.append(search_fingerprint(*vc_minimum(g, SolverConfig(struction=True))))
+        for k in (size, size - 1):
+            if k >= 0:
+                verdict = vc_decide(g, k)
+                rows.append(search_fingerprint(verdict.answer, verdict.cover, verdict.stats))
+        digest.update(repr(rows).encode())
+    assert digest.hexdigest() == SAME_TREE_DIGEST
+
+
+@pytest.mark.parametrize("mode", ["decide", "minimize"])
+def test_recursion_limit_is_a_resource_limit(mode):
+    g = generate("cubic", 2000, 1)  # the first dive reaches depth 221
+    cfg = SolverConfig(node_budget=5000)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(ResourceLimitError, match="recursion limit"):
+            if mode == "decide":
+                vc_decide(g, g.num_vertices(), cfg)
+            else:
+                vc_minimum(g, cfg)
+    finally:
+        sys.setrecursionlimit(old)
