@@ -14,7 +14,7 @@ import json
 import sys
 
 from .analysis import WORST_TAU_VECTOR, branching_number, case_catalog, interleave_base
-from .dimacs import emit_cover, emit_dimacs, parse_cover, parse_dimacs
+from .dimacs import MAX_VERTICES, emit_dimacs, parse_cover, parse_dimacs
 from .errors import DimacsParseError, ResourceLimitError
 from .generators import MODELS, generate
 from .graph import Graph
@@ -138,11 +138,12 @@ def _cmd_tau(args, warnings):
     bound = 0
     for comp in g.connected_components():
         bound += tau_upper_bound(g.induced_subgraph(comp))
+    t = tau(g)
     return _doc(
         "tau",
         warnings,
-        answer=tau(g),
-        tau=tau(g),
+        answer=t,
+        tau=t,
         ex=extra_degree_graph(g),
         circuit_rank=circuit_rank(g),
         tau_upper_bound=bound,
@@ -188,7 +189,12 @@ def _cmd_analyze(args, warnings):
 def _cmd_gen(args, warnings):
     if args.n < 0:
         raise _Usage("--n must be non-negative")
-    g = generate(args.model, args.n, args.seed)
+    if args.n > MAX_VERTICES:
+        raise ResourceLimitError(f"--n {args.n} is above the limit of {MAX_VERTICES} vertices")
+    try:
+        g = generate(args.model, args.n, args.seed)
+    except ValueError as exc:  # a size the model cannot take
+        raise _Usage(str(exc)) from None
     text = emit_dimacs(g)
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -272,10 +278,11 @@ def _emit(doc: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
     parser = build_parser()
     args = parser.parse_args(argv)
     warnings: list[str] = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 50_000))  # the search's depth guard, for this run only
     try:
         doc = args.handler(args, warnings)
     except _Usage as exc:
@@ -288,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except OSError as exc:
         parser.exit(2, f"error: {exc}\n")
+    finally:
+        sys.setrecursionlimit(limit)
     _emit(doc)
     return 0
 

@@ -18,8 +18,11 @@ class Graph:
 
     ``touched`` is None, or a set to which every mutation adds the vertices
     whose neighborhood it changed; a new vertex counts as changed, and ids
-    deleted later stay in the set. The reductions read it to re-examine only
-    what changed since the graph was last reduced. Copies start untracked.
+    deleted later stay in the set. A set vouches that the graph was at a
+    reduction fixpoint when the set began; None, as on a new graph, vouches
+    nothing. ``reduce_fixpoint`` leaves it empty, copies carry it, and an
+    induced subgraph keeps the marks of its vertices and marks each one that
+    lost a neighbor.
     """
 
     __slots__ = ("_adj", "_m", "_next_id", "_retired", "touched")
@@ -210,14 +213,12 @@ class Graph:
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = set(keep)
         sub = Graph()
-        for v in keep_set:
-            self._require(v)
-            sub.add_vertex(v)
-        for v in keep_set:
-            for w in self._adj[v]:
-                if w in keep_set and v < w:
-                    sub.add_edge(v, w)
+        sub._adj = {v: self._require(v) & keep_set for v in keep_set}
+        sub._m = sum(map(len, sub._adj.values())) // 2
         sub._next_id = self._next_id
+        if self.touched is not None:
+            marks, adj = self.touched, self._adj
+            sub.touched = {v for v, ns in sub._adj.items() if v in marks or len(ns) < len(adj[v])}
         return sub
 
     def clone(self) -> "Graph":
@@ -226,6 +227,7 @@ class Graph:
         g._m = self._m
         g._next_id = self._next_id
         g._retired = set(self._retired)
+        g.touched = None if self.touched is None else set(self.touched)
         return g
 
     def edge_set(self) -> frozenset[frozenset[int]]:

@@ -240,39 +240,33 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
     Rules fire exactly as repeated full scans would fire them, lowest id
     first, but only vertices that may newly match a rule are examined: for
     the degree rules those whose neighborhood changed, for domination those
-    and their neighbors. A graph with ``g.touched`` set vouches that it was
-    at a fixpoint when tracking began, so only its touched vertices count as
-    changed; otherwise every vertex does. The struction scan is always full.
-    Leaves ``g.touched`` empty when it was set, None otherwise.
+    and their neighbors. A ``g.touched`` set vouches that g was at a fixpoint
+    when the set began, so only its members count as changed; None means all
+    do. The struction scan is always full. Always leaves ``g.touched`` empty.
     """
     adj = g.adjacency()
-    tracking = g.touched is not None
     changed = g.touched  # None: every vertex may match a rule
     unchecked: set[int] = set()  # domination candidates not yet examined
-    try:
-        while True:
-            g.touched = None if changed is None else set()
-            reduce_low_degree(g, trace, changed)
-            if changed is None:
-                unchecked = set(adj)
-            else:
-                changed |= g.touched
-                for x in changed:
-                    nbrs = adj.get(x)
-                    if nbrs is not None:
-                        unchecked.add(x)
-                        unchecked |= nbrs
-            g.touched = set()
-            u = _first_dominator(g, unchecked)
-            if u is not None:
-                trace.include(u)
-                g.remove_vertex(u)
-            elif not (use_struction and _any_struction(g, trace)):
-                return
-            changed = g.touched
-    finally:
-        if not tracking:
-            g.touched = None
+    while True:
+        g.touched = None if changed is None else set()
+        reduce_low_degree(g, trace, changed)
+        if changed is None:
+            unchecked = set(adj)
+        else:
+            changed |= g.touched
+            for x in changed:
+                nbrs = adj.get(x)
+                if nbrs is not None:
+                    unchecked.add(x)
+                    unchecked |= nbrs
+        g.touched = set()
+        u = _first_dominator(g, unchecked)
+        if u is not None:
+            trace.include(u)
+            g.remove_vertex(u)
+        elif not (use_struction and _any_struction(g, trace)):
+            return
+        changed = g.touched
 
 
 def _first_dominator(g: Graph, unchecked: set[int]) -> int | None:

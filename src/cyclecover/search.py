@@ -16,8 +16,10 @@ as strong as the Nemhauser-Trotter kernel's infeasibility test before them
 
 A node pays only for what decides its answer: one component scan, one graph
 copy (the include branch; the exclude branch consumes the node's graph), and
-reductions that re-examine only the vertices around what the branch deleted,
-which the graph tracks in ``Graph.touched``.
+reductions that re-examine only the vertices around what the branch deleted.
+The graph and the reductions keep that record (``Graph.touched``) between
+themselves; the engine never reads or writes it. Two guards raise
+ResourceLimitError: the node budget and the interpreter's recursion limit.
 
 Every YES certificate is re-verified before it is returned. Runs with
 ``instrument_tau`` (off by default; the test suite turns it on) track the
@@ -50,7 +52,6 @@ ENVELOPE_BASE_INTERLEAVED = 1.1504
 class SolverConfig:
     struction: bool = False
     node_budget: int = 10**8
-    depth_limit: int = 10_000
     instrument_tau: bool = False  # check the tau invariants at every branching
 
 
@@ -91,8 +92,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
     stats = ctx.stats
     if stats.nodes_expanded >= ctx.cfg.node_budget:
         raise ResourceLimitError(f"node budget {ctx.cfg.node_budget} exhausted")
-    if depth > ctx.cfg.depth_limit:
-        raise ResourceLimitError(f"depth limit {ctx.cfg.depth_limit} exceeded")
     stats.nodes_expanded += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -107,7 +106,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
 
     trace = ReductionTrace()
     reduce_fixpoint(g, trace, use_struction=ctx.cfg.struction)
-    g.touched = set()  # g is reduced; the children re-examine only what changes
     base = trace.k_delta
     if base > cap:
         stats.k_exhausted_leaves += 1
@@ -144,7 +142,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
         inside_edges = sum(len(g.neighbors(w) & nset) for w in nlist) // 2
 
     g_inc = g.clone()
-    g_inc.touched = set(g.touched)
     g_inc.remove_vertex(v)
     if inst:
         tau_inc = tau(g_inc)
@@ -203,8 +200,6 @@ def _solve_components(
     the budget left over after lower-bounding the others."""
     remaining = cap - base
     subs = [g.induced_subgraph(c) for c in comps]
-    for sub in subs:
-        sub.touched = set()  # a component of a reduced graph is reduced
     bounds = [lp_lower_bound(s) for s in subs]
     if sum(bounds) > remaining:
         ctx.stats.k_exhausted_leaves += 1
@@ -223,57 +218,55 @@ def _solve_components(
     return base + total, lift_cover(trace, cover)
 
 
-def _search(g: Graph, cap: int, ctx: _Ctx, first_fit: bool) -> tuple[int, set[int]] | None:
-    """Run the search on a copy of g; a dive deeper than the interpreter's
-    recursion limit becomes a ResourceLimitError, as the other guards are."""
+def _search(
+    g: Graph, cap: int, config: SolverConfig | None, first_fit: bool
+) -> tuple[tuple[int, set[int]] | None, SearchStats]:
+    """Run the search on a copy of g and certify what it finds.
+
+    A dive deeper than the interpreter's recursion limit becomes a
+    ResourceLimitError, as the node budget does.
+    """
+    cfg = config or SolverConfig()
+    stats = SearchStats()
+    start = time.perf_counter()
+    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
     try:
-        return _node(g.clone(), cap, 0, ctx, first_fit)
+        result = _node(g.clone(), cap, 0, _Ctx(cfg=cfg, stats=stats), first_fit)
     except RecursionError:
         raise ResourceLimitError(
-            f"search depth {ctx.stats.max_depth} reached the interpreter's recursion limit "
+            f"search depth {stats.max_depth} reached the interpreter's recursion limit "
             f"{sys.getrecursionlimit()}"
         ) from None
+    stats.wallclock = time.perf_counter() - start
+    if result is not None:
+        _check_certificate(g, result[1], result[0], cap)
+    return result, stats
 
 
 def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
     """Does g have a vertex cover of size at most k? Certificates on YES."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    cfg = config or SolverConfig()
-    stats = SearchStats()
-    ctx = _Ctx(cfg=cfg, stats=stats)
-    start = time.perf_counter()
-    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
-    result = _search(g, k, ctx, first_fit=True)
-    stats.wallclock = time.perf_counter() - start
+    result, stats = _search(g, k, config, first_fit=True)
     if result is None:
         return Verdict(answer="NO", cover=None, k=k, stats=stats)
-    size, cover = result
-    _check_certificate(g, cover, size, k)
-    return Verdict(answer="YES", cover=cover, k=k, stats=stats)
+    return Verdict(answer="YES", cover=result[1], k=k, stats=stats)
 
 
 def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[int], SearchStats]:
     """Exact minimum vertex cover with certificate."""
-    cfg = config or SolverConfig()
-    stats = SearchStats()
-    ctx = _Ctx(cfg=cfg, stats=stats)
-    start = time.perf_counter()
-    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
-    result = _search(g, g.num_vertices(), ctx, first_fit=False)
-    stats.wallclock = time.perf_counter() - start
+    result, stats = _search(g, g.num_vertices(), config, first_fit=False)
     if result is None:
         raise AssertionError("minimization found no cover within n, which is impossible")
     size, cover = result
-    _check_certificate(g, cover, size, None)
     return size, cover, stats
 
 
-def _check_certificate(g: Graph, cover: set[int], size: int, k: int | None) -> None:
+def _check_certificate(g: Graph, cover: set[int], size: int, cap: int) -> None:
     if len(cover) != size:
         raise AssertionError(f"certificate size {len(cover)} disagrees with accounting {size}")
-    if k is not None and size > k:
-        raise AssertionError(f"certificate size {size} exceeds the budget {k}")
+    if size > cap:
+        raise AssertionError(f"certificate size {size} exceeds the budget {cap}")
     if not is_vertex_cover(g, cover):
         raise AssertionError("certificate fails to cover the graph")
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecover.cli import main
 from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
@@ -99,6 +101,31 @@ def test_gen_deterministic_and_parseable(tmp_path):
     assert code2 == 0 and tau_doc["tau"] == 12 // 2 + 1
 
 
+@pytest.mark.parametrize(
+    "model, n, want",
+    [
+        ("cubic", 5, 2),
+        ("tree", 0, 2),
+        ("cycle", 2, 2),
+        ("cycle", -1, 2),
+        ("cubic", MAX_VERTICES + 1, 4),
+        ("tree", 10**20, 4),
+    ],
+)
+def test_gen_sizes_end_in_usage_or_resource_errors(model, n, want):
+    argv = ["gen", "--model", model, "--n", str(n)]
+    if want == 2:
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        return
+    start = time.perf_counter()
+    code, doc = run_doc(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and doc["error"] == "resource_limit"
+    assert any(f"--n {n} is above the limit" in w for w in doc["warnings"])
+
+
 def test_verify_accepts_minimize_output(tmp_path):
     dim = emit_dimacs(generate("maxdeg3", 20, 9))
     _, mdoc = run_doc(["minimize", "-"], dim)
@@ -176,6 +203,45 @@ def test_non_ascii_stdin_is_a_parse_error():
     code, doc = run_doc(["minimize", "-"], b"c caf\xff\np edge 2 1\ne 1 2\n")
     assert code == 3 and doc["error"] == "parse"
     assert any("not ASCII text: byte 0xff" in w for w in doc["warnings"])
+
+
+@st.composite
+def _dimacs_like(draw):
+    """A header with counts up to 60, then edge lines whose endpoints mostly
+    lie in range, mixed with comments and malformed lines, as ASCII bytes."""
+    n = draw(st.integers(min_value=-1, max_value=60))
+    end = st.integers(min_value=0, max_value=max(n, 0) + 1)
+    line = st.one_of(
+        st.builds("e {} {}".format, end, end),
+        st.builds("c {}".format, st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)),
+        st.sampled_from(["", " ", "p edge 3 1", "p col 3 1", "e 1", "e 1 2 3", "e a b", "x 1 2", "\t"]),
+    )
+    header = f"p edge {n} {draw(st.integers(min_value=-1, max_value=60))}"
+    lines = [header] + draw(st.lists(line, max_size=60))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "\n".join(lines).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(st.binary(max_size=200), _dimacs_like()),
+    argv=st.sampled_from([["minimize", "-"], ["tau", "-"], ["kernelize", "-", "--k", "3"]]),
+)
+def test_any_stdin_ends_in_one_json_document(data, argv):
+    code, out = run(argv, data)
+    assert code in (0, 3, 4)
+    jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def test_recursion_limit_restored_after_a_run():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(4321)  # below the CLI's 50,000, whatever ran before
+    try:
+        assert run(["minimize", "-"], K4)[0] == 0
+        assert sys.getrecursionlimit() == 4321
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_byte_identical_reruns():

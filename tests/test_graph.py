@@ -140,10 +140,28 @@ def test_touched_collects_changed_neighborhoods():
     g.touched = set()
     g.contract_pair(4, 9)  # an isolated vertex changes no neighborhood
     assert g.touched == set()
-    assert g.clone().touched is None
+    # copies carry the marks: a set is copied, None stays None
+    g.touched = {0, 4}
+    h = g.clone()
+    assert h.touched == {0, 4} and h.touched is not g.touched
+    h.remove_vertex(0)
+    assert g.touched == {0, 4}
     g.touched = None
+    assert g.clone().touched is None
     g.add_edge(0, 2)
     assert g.touched is None
+
+
+def test_induced_subgraph_inherits_marks_and_marks_cut_vertices():
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
+    assert g.induced_subgraph([0, 1, 2]).touched is None
+    g.touched = {0, 3, 5}
+    # 0 keeps its mark; 2 lost its neighbor 3 and 6 lost 5; 1 and 7 lost nothing
+    sub = g.induced_subgraph([0, 1, 2, 6, 7])
+    assert sub.touched == {0, 2, 6}
+    assert g.touched == {0, 3, 5}
+    g.touched = set()
+    assert g.induced_subgraph([5, 6, 7]).touched == set()  # a whole component
 
 
 def test_invariants_hold_under_random_mutation():

@@ -234,11 +234,11 @@ def test_dirty_fixpoint_matches_full_rescans(use_struction):
         reduce_fixpoint(g, t, use_struction)
         reduce_by_full_rescans(ref, t_ref, use_struction)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
-        assert g.edge_set() == ref.edge_set() and g.touched is None, seed
+        assert g.edge_set() == ref.edge_set() and g.touched == set(), seed
 
-        # a reduced graph that tracks its changes loses a few vertices, as a
-        # branch does; only the vertices around them are re-examined
-        g.touched = set()
+        # the reduced graph, which now tracks its changes, loses a few
+        # vertices, as a branch does; only the vertices around them are
+        # re-examined
         live = sorted(g.vertices())
         for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
             g.remove_vertex(v)

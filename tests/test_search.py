@@ -9,6 +9,7 @@ from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
+from cyclecover.reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from cyclecover.search import (
     SolverConfig,
     check_node_budget,
@@ -112,10 +113,42 @@ def test_node_budget_raises():
         vc_minimum(g, SolverConfig(node_budget=2))
 
 
-def test_depth_limit_raises():
-    g = generate("cubic", 30, 3)
-    with pytest.raises(ResourceLimitError):
-        vc_minimum(g, SolverConfig(depth_limit=0))
+@pytest.mark.parametrize("use_struction", [False, True])
+def test_graph_reduced_in_place_keeps_its_answers(use_struction):
+    """A graph reduced in place enters the search with an empty mark set,
+    which the root's reductions trust; so does one that lost vertices since,
+    with those losses marked. Both must be solved as their unmarked twins."""
+    rng = random.Random(29)
+    kernels = 0
+    for seed in range(40):
+        n = rng.randrange(16, 40)
+        g = random_max_degree(n, rng, max_deg=rng.randrange(4, 6), proposals=4 * n)
+        opt = vc_minimum(g)[0]
+        h = g.clone()
+        trace = ReductionTrace()
+        reduce_fixpoint(h, trace, use_struction)
+        assert h.touched == set()
+        size, cover, _ = vc_minimum(h)
+        lifted = lift_cover(trace, cover)
+        assert size + trace.k_delta == opt and len(lifted) == opt, seed
+        assert is_vertex_cover(g, lifted), seed
+        assert vc_decide(h, size).answer == "YES", seed
+        assert size == 0 or vc_decide(h, size - 1).answer == "NO", seed
+        live = sorted(h.vertices())
+        if not live:
+            continue
+        kernels += 1
+        for v in rng.sample(live, min(len(live), rng.randrange(1, 4))):
+            h.remove_vertex(v)
+        twin = Graph.from_edges(h.edges(), h.vertices())
+        assert h.touched and twin.touched is None
+        size, _, stats = vc_minimum(h)
+        want, _, twin_stats = vc_minimum(twin)
+        assert size == want and stats.nodes_expanded == twin_stats.nodes_expanded, seed
+        for k in (size, size - 1):
+            if k >= 0:
+                assert vc_decide(h, k).answer == vc_decide(twin, k).answer, seed
+    assert kernels >= 20
 
 
 def test_stats_are_populated():
