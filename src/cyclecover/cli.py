@@ -33,6 +33,7 @@ from .search import (
 from .structure import circuit_rank, extra_degree_graph, tau, tau_upper_bound
 
 KERNEL_GROWTH = 16.0
+COMMANDS = ("solve", "minimize", "kernelize", "tau", "analyze", "gen", "verify", "oracle")
 
 
 def _read_input(path: str) -> str:
@@ -64,7 +65,7 @@ def _stats_doc(stats: SearchStats, k: int) -> dict:
     }
 
 
-def _doc(command: str, warnings: list[str], **fields) -> dict:
+def _doc(command: str | None, warnings: list[str], **fields) -> dict:
     doc = {
         "command": command,
         "answer": None,
@@ -223,8 +224,15 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so that they end in JSON too."""
+
+    def error(self, message):
+        raise _Usage(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclecover",
         description="Exact vertex cover by branch and reduce on low-degree graphs.",
     )
@@ -278,23 +286,27 @@ def _emit(doc: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # the top-level parser takes no option but --help, so a run names its
+    # subcommand first or not at all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     warnings: list[str] = []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 50_000))  # the search's depth guard, for this run only
     try:
+        args = parser.parse_args(argv)
         doc = args.handler(args, warnings)
-    except _Usage as exc:
-        parser.exit(2, f"error: {exc}\n")
+    except (_Usage, OSError) as exc:
+        _emit(_doc(command, warnings + [str(exc)], error="usage"))
+        return 2
     except DimacsParseError as exc:
-        _emit(_doc(args.command, warnings + [str(exc)], error="parse"))
+        _emit(_doc(command, warnings + [str(exc)], error="parse"))
         return 3
     except ResourceLimitError as exc:
-        _emit(_doc(args.command, warnings + [str(exc)], error="resource_limit"))
+        _emit(_doc(command, warnings + [str(exc)], error="resource_limit"))
         return 4
-    except OSError as exc:
-        parser.exit(2, f"error: {exc}\n")
     finally:
         sys.setrecursionlimit(limit)
     _emit(doc)

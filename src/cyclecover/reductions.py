@@ -2,8 +2,11 @@
 
 Every rule mutates the graph, appends trace entries, and accounts its cover
 cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
-size s + k_delta for the original (satellite couplings are the one exception,
-priced by the search at branch time instead).
+size s + k_delta for the original.
+
+Trace entries are slotted, mutable dataclasses rather than frozen ones: a
+frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
+rules create an entry at every firing. They still compare by value.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ from typing import Iterable, Union
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Include:
     """v goes into the cover; its edges are covered and v is deleted."""
     v: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteIsolated:
     v: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FoldDeg2:
     """Degree-2 u with non-adjacent neighbors s, r merged into kept (= r):
     kept in the lifted cover means {s, r}, otherwise u."""
@@ -33,14 +36,7 @@ class FoldDeg2:
     r: int
     kept: int
 
-@dataclass(frozen=True)
-class SatelliteCouple:
-    """satellite joins the cover exactly when center does. Contributes nothing
-    to k_delta; the branch that includes center pays for it."""
-    center: int
-    satellite: int
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Struction:
     """Degree-3 center with one edge inside its neighborhood replaced by two
     new vertices, one per non-adjacent neighbor pair."""
@@ -50,7 +46,7 @@ class Struction:
     created: tuple[tuple[tuple[int, int], int], ...]  # ((pair, new_id), ...)
 
 
-TraceEntry = Union[Include, DeleteIsolated, FoldDeg2, SatelliteCouple, Struction]
+TraceEntry = Union[Include, DeleteIsolated, FoldDeg2, Struction]
 
 
 @dataclass
@@ -68,9 +64,6 @@ class ReductionTrace:
     def fold(self, u: int, s: int, r: int, kept: int) -> None:
         self.entries.append(FoldDeg2(u, s, r, kept))
         self.k_delta += 1
-
-    def couple(self, center: int, satellite: int) -> None:
-        self.entries.append(SatelliteCouple(center, satellite))
 
     def struction(self, entry: Struction) -> None:
         self.entries.append(entry)
@@ -90,9 +83,6 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
                 cover.add(entry.r)
             else:
                 cover.add(entry.u)
-        elif isinstance(entry, SatelliteCouple):
-            if entry.center in cover:
-                cover.add(entry.satellite)
         elif isinstance(entry, Struction):
             chosen = [(pair, nid) for pair, nid in entry.created if nid in cover]
             for _, nid in chosen:
@@ -186,17 +176,6 @@ def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
     trace.include(u)
     g.remove_vertex(u)
     return True
-
-
-def satellites(g: Graph, u: int) -> set[int]:
-    """Vertices z outside N[u], at distance two, with N(z) inside N(u)."""
-    base = g.neighbors(u)
-    cands: set[int] = set()
-    for w in base:
-        cands |= g.neighbors(w)
-    cands -= base
-    cands.discard(u)
-    return {z for z in cands if g.neighbors(z) <= base}
 
 
 def struction(g: Graph, u: int, trace: ReductionTrace) -> bool:

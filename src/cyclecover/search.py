@@ -3,8 +3,9 @@
 One recursive node procedure serves both entry points. A node reduces to
 minimum degree 3, hands forests to the linear solver, prunes when the LP
 lower bound exceeds the budget, splits into components (solved independently
-to their minima), and otherwise branches on a selected vertex: include it with
-its coupled satellites, or exclude it by taking its whole neighborhood.
+to their minima), and otherwise branches on a selected vertex v: include v
+with its mirrors, or exclude v by taking its whole neighborhood. Some minimum
+cover falls in one of the two branches (see ``selection.mirrors``).
 Decision mode returns on the first branch that fits the budget; minimization
 mode keeps the best and tightens the bound.
 
@@ -127,12 +128,9 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
 
     plan = select(g)
     v = plan.vertex
-    for z in sorted(plan.satellites):
-        trace.couple(v, z)
-        g.remove_vertex(z)
     nlist = sorted(g.neighbors(v))
     d = len(nlist)
-    inc_cost = 1 + len(plan.satellites)
+    inc_cost = 1 + len(plan.mirrors)
 
     inst = ctx.cfg.instrument_tau
     if inst:
@@ -143,7 +141,7 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
 
     g_inc = g.clone()
     g_inc.remove_vertex(v)
-    if inst:
+    if inst:  # the drop of one vertex deletion, before the mirrors go
         tau_inc = tau(g_inc)
         if tau_inc > tau_here:
             stats.tau_trajectory_ok = False
@@ -152,11 +150,13 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
                 stats.tau_drop_ok = False
             if tau_here - tau_inc < plan.est_vector[0]:
                 stats.est_bound_ok = False
+    for u in plan.mirrors:
+        g_inc.remove_vertex(u)
     best: tuple[int, set[int]] | None = None
     r = _node(g_inc, cap - base - inc_cost, depth + 1, ctx, first_fit)
     if r is not None:
         size, cov = r
-        best = (base + inc_cost + size, lift_cover(trace, cov | {v}))
+        best = (base + inc_cost + size, lift_cover(trace, cov | {v} | plan.mirrors))
         if first_fit:
             return best
 
@@ -169,8 +169,7 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
             stats.tau_trajectory_ok = False
         # the exclude estimate is certified only for sparse neighborhoods
         if (
-            not plan.satellites
-            and base_connected
+            base_connected
             and g.is_connected()
             and g.num_vertices() > 0
             and inside_edges <= d - 2

@@ -1,20 +1,24 @@
 """Branch-vertex selection for graphs of minimum degree 3.
 
 The dispatch is a greedy heuristic: take the highest-degree vertex, and among
-degree-4 candidates prefer one with coupled satellites, otherwise maximize a
+degree-4 candidates prefer one with mirrors, otherwise maximize a
 conservative estimate of how much cycle structure each branch destroys. The
 estimate components are lower bounds on the tau drop only for children that
 stay connected (and, on the exclude side, only while the neighborhood stays
 sparse); correctness never depends on them.
+
+Every plan carries the mirrors of its vertex, which the include branch takes
+along with it: some minimum cover holds either N(v) or v and all its mirrors
+(Fomin, Grandoni & Kratsch, J. ACM 2009).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .graph import Graph
-from .reductions import satellites
 
 
 class RuleTag(Enum):
@@ -26,7 +30,7 @@ class RuleTag(Enum):
 @dataclass(frozen=True)
 class BranchPlan:
     vertex: int
-    satellites: frozenset[int]
+    mirrors: frozenset[int]
     rule_tag: RuleTag
     est_vector: tuple[int, int]
 
@@ -47,15 +51,39 @@ def estimate_vector(g: Graph, v: int) -> tuple[int, int]:
     return include, exclude
 
 
-def coupled_satellites(g: Graph, v: int) -> frozenset[int]:
-    """Satellites safe for coupled branching.
+def mirrors(g: Graph, v: int) -> frozenset[int]:
+    """Vertices u at distance two from v such that N(v) minus N(u) is a clique.
 
-    Coupling z with v is justified by an exchange argument that needs at least
-    one excluded neighbor of v inside N(z), which holds whenever
-    deg(z) >= deg(v) - 1. Lower-degree satellites are left uncoupled.
+    A cover that holds v but misses a mirror u holds N(u), so it misses at
+    most one vertex w of that clique; trading v for w gives a cover of the
+    same size that holds all of N(v). Hence some minimum cover holds either
+    N(v) or v with all its mirrors.
     """
-    d = g.degree(v)
-    return frozenset(z for z in satellites(g, v) if g.degree(z) >= d - 1)
+    adj = g.adjacency()
+    nv = adj[v]
+    d = len(nv)
+    inner = {x: len(adj[x] & nv) for x in nv}  # neighbors inside N(v)
+    widest = max(inner.values(), default=0) + 1  # no clique in N(v) is larger
+    # the vertices of N(v) a mirror misses form a clique, so it is adjacent to
+    # at least `need` of N(v), hence to one of any d - need + 1 of them
+    need = max(1, d - widest)
+    cands: set[int] = set()
+    for w in islice(nv, d - need + 1):
+        cands |= adj[w]
+    cands -= nv
+    cands.discard(v)
+    found = []
+    for u in cands:
+        rest = d - len(adj[u] & nv)
+        if rest <= 1:
+            found.append(u)
+        elif rest <= widest:
+            missed = nv - adj[u]
+            # each member of a clique of `rest` vertices has rest - 1
+            # neighbors inside N(v); check that count before the pairs
+            if all(inner[x] >= rest - 1 and len(adj[x] & missed) == rest - 1 for x in missed):
+                found.append(u)
+    return frozenset(found)
 
 
 def shortest_cycle_through(g: Graph, v: int, stop: int | None = None) -> int:
@@ -102,18 +130,26 @@ def select(g: Graph) -> BranchPlan:
         v = min(u for u in g.vertices() if g.degree(u) == maxdeg)
         return BranchPlan(
             vertex=v,
-            satellites=coupled_satellites(g, v),
+            mirrors=mirrors(g, v),
             rule_tag=RuleTag.HIGH_DEGREE,
             est_vector=estimate_vector(g, v),
         )
     if maxdeg == 4:
-        cands = [u for u in sorted(g.vertices()) if g.degree(u) == 4]
-        sats = {u: coupled_satellites(g, u) for u in cands}
-        pool = [u for u in cands if sats[u]] or cands
-        v = max(pool, key=lambda u: (estimate_vector(g, u)[1], -u))
+        # best exclude estimate first, lowest id on ties; the first candidate
+        # with mirrors wins, and without one the first candidate does
+        cands = sorted(
+            (u for u in g.vertices() if g.degree(u) == 4),
+            key=lambda u: (-estimate_vector(g, u)[1], u),
+        )
+        v, found = cands[0], frozenset()
+        for u in cands:
+            found = mirrors(g, u)
+            if found:
+                v = u
+                break
         return BranchPlan(
             vertex=v,
-            satellites=sats[v],
+            mirrors=found,
             rule_tag=RuleTag.DEGREE4,
             est_vector=estimate_vector(g, v),
         )
@@ -126,7 +162,7 @@ def select(g: Graph) -> BranchPlan:
             v, shortest = u, length
     return BranchPlan(
         vertex=v,
-        satellites=coupled_satellites(g, v),
+        mirrors=mirrors(g, v),
         rule_tag=RuleTag.DEGREE3_REGULAR,
         est_vector=estimate_vector(g, v),
     )

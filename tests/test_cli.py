@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclecover.cli import main
+from cyclecover.cli import COMMANDS, main
 from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
 from cyclecover.generators import generate, petersen_graph
 
@@ -114,15 +115,14 @@ def test_gen_deterministic_and_parseable(tmp_path):
 )
 def test_gen_sizes_end_in_usage_or_resource_errors(model, n, want):
     argv = ["gen", "--model", model, "--n", str(n)]
-    if want == 2:
-        with pytest.raises(SystemExit) as err:
-            run(argv)
-        assert err.value.code == 2
-        return
     start = time.perf_counter()
     code, doc = run_doc(argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 4 and doc["error"] == "resource_limit"
+    assert code == want and doc["command"] == "gen"
+    if want == 2:
+        assert doc["error"] == "usage"
+        return
+    assert doc["error"] == "resource_limit"
     assert any(f"--n {n} is above the limit" in w for w in doc["warnings"])
 
 
@@ -170,25 +170,42 @@ def test_oversized_header_is_a_resource_limit(n):
 
 
 def test_exit_code_usage():
-    with pytest.raises(SystemExit) as err:
-        run(["solve", "-"], K4)
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["gen", "--model", "nonesuch", "--n", "4"])
-    assert err.value.code == 2
+    code, doc = run_doc(["solve", "-"], K4)
+    assert code == 2 and doc["error"] == "usage" and doc["command"] == "solve"
+    assert any("--k" in w for w in doc["warnings"])
+    code, doc = run_doc(["gen", "--model", "nonesuch", "--n", "4"])
+    assert code == 2 and doc["error"] == "usage" and doc["command"] == "gen"
+    code, doc = run_doc(["minimize", "/nonexistent/graph.col"])
+    assert code == 2 and doc["error"] == "usage" and doc["command"] == "minimize"
+    for argv in ([], ["nonesuch"], ["--k", "3"]):
+        code, doc = run_doc(argv)
+        assert code == 2 and doc["error"] == "usage" and doc["command"] is None
+
+
+def test_every_command_names_itself_in_usage_errors():
+    assert set(SCHEMA["properties"]["command"]["enum"]) == set(COMMANDS) | {None}
+    for command in COMMANDS:
+        code, doc = run_doc([command, "--nonesuch"])
+        assert code == 2 and doc["error"] == "usage" and doc["command"] == command
+
+
+def test_help_keeps_its_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert out.getvalue().startswith("usage: cyclecover")
 
 
 def test_threads_flag_removed():
-    with pytest.raises(SystemExit) as err:
-        run(["solve", "-", "--k", "3", "--threads", "4"], K4)
-    assert err.value.code == 2
+    code, doc = run_doc(["solve", "-", "--k", "3", "--threads", "4"], K4)
+    assert code == 2 and doc["error"] == "usage"
 
 
 @pytest.mark.parametrize("flag", [["--lp-bound", "on"], ["--interleave-depth", "0"]])
 def test_lp_and_interleave_flags_removed(flag):
-    with pytest.raises(SystemExit) as err:
-        run(["solve", "-", "--k", "3", *flag], K4)
-    assert err.value.code == 2
+    code, doc = run_doc(["solve", "-", "--k", "3", *flag], K4)
+    assert code == 2 and doc["error"] == "usage"
 
 
 def test_non_ascii_file_is_a_parse_error(tmp_path):
@@ -223,14 +240,49 @@ def _dimacs_like(draw):
     return "\n".join(lines).encode("ascii")
 
 
-@settings(max_examples=300, deadline=None)
+# argument lists drawn from the CLI's own vocabulary, with small numbers only;
+# FILE stands for a file that holds the input
+_MALFORMED_ARGV = st.lists(
+    st.sampled_from(
+        [
+            *COMMANDS, "-", "FILE", "--k", "--n", "--model", "--seed", "--cover", "--struction",
+            "--node-budget", "--threads", "cubic", "tree", "0", "3", "12", "-1", "x", "",
+        ]
+    ),
+    max_size=7,
+)
+_FILE_IDS = itertools.count()
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     data=st.one_of(st.binary(max_size=200), _dimacs_like()),
-    argv=st.sampled_from([["minimize", "-"], ["tau", "-"], ["kernelize", "-", "--k", "3"]]),
+    argv=st.one_of(
+        st.sampled_from(
+            [
+                ["minimize", "-"],
+                ["tau", "-"],
+                ["kernelize", "-", "--k", "3"],
+                ["solve", "-", "--k", "3"],
+                ["oracle", "-"],
+                ["minimize", "FILE"],
+                ["solve", "FILE", "--k", "3"],
+                ["verify", "FILE", "--cover", "-"],
+            ]
+        ),
+        _MALFORMED_ARGV,
+    ),
 )
-def test_any_stdin_ends_in_one_json_document(data, argv):
+def test_any_stdin_ends_in_one_json_document(tmp_path, data, argv):
+    """The input arrives on stdin and, as FILE, in a new file of the same bytes."""
+    if "FILE" in argv:
+        path = tmp_path / f"input{next(_FILE_IDS)}.col"
+        path.write_bytes(data)
+        argv = [str(path) if a == "FILE" else a for a in argv]
     code, out = run(argv, data)
-    assert code in (0, 3, 4)
+    assert code in (0, 2, 3, 4)
     jsonschema.validate(json.loads(out), SCHEMA)
 
 

@@ -13,7 +13,6 @@ from cyclecover.reductions import (
     lift_cover,
     reduce_fixpoint,
     reduce_low_degree,
-    satellites,
     struction,
 )
 
@@ -84,12 +83,6 @@ def test_domination_adjacent_superset():
     assert dominated_vertex(g, t)
     assert t.k_delta == 1
     assert not g.has_vertex(0)
-
-
-def test_satellites_query():
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2), (5, 3)])
-    assert satellites(g, 0) == {5}
-    assert satellites(g, 5) == set()
 
 
 def test_struction_single_inside_edge():

@@ -7,13 +7,13 @@ from cyclecover.generators import complete_graph, generate, petersen_graph, rand
 from cyclecover.graph import Graph
 from cyclecover.selection import (
     RuleTag,
-    coupled_satellites,
     estimate_vector,
+    mirrors,
     select,
     shortest_cycle_through,
 )
 
-from conftest import gnp
+from conftest import gnp, mixed_instance
 
 
 def prism():
@@ -47,25 +47,66 @@ def test_high_degree_wins():
     plan = select(g)
     assert plan.rule_tag is RuleTag.HIGH_DEGREE
     assert plan.vertex == 0
-    assert plan.satellites == frozenset()
+    assert plan.mirrors == frozenset()
 
 
-def test_degree4_prefers_a_coupled_partner():
+def test_degree4_prefers_a_vertex_with_mirrors():
     g = Graph.from_edges(
-        [(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2), (5, 3), (6, 4), (6, 1), (6, 2), (3, 4)]
+        [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
     )
+    # 0, 3 and 4 have degree 4 and tie on the exclude estimate; 0 has no
+    # mirror, so the lowest id among the others wins
+    assert {u: estimate_vector(g, u) for u in (0, 3, 4)} == {0: (3, 7), 3: (3, 7), 4: (3, 7)}
+    assert mirrors(g, 0) == frozenset()
     plan = select(g)
     assert plan.rule_tag is RuleTag.DEGREE4
-    assert plan.vertex == 0
-    assert plan.satellites == frozenset({5, 6})
+    assert plan.vertex == 3
+    assert plan.mirrors == frozenset({2, 6})
 
 
-def test_coupling_needs_near_hub_degree():
-    # partner of degree 2 under a degree-4 hub mirrors incorrectly; must be filtered
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2)])
-    assert coupled_satellites(g, 0) == frozenset()
-    strong = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2), (5, 3)])
-    assert coupled_satellites(strong, 0) == frozenset({5})
+def test_mirror_needs_a_clique_remainder():
+    hub = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    # N(0) - N(5) = {3, 4} is not a clique, whatever the degree of 5
+    assert mirrors(Graph.from_edges(hub + [(5, 1), (5, 2)]), 0) == frozenset()
+    # ... until 3 and 4 are adjacent
+    assert mirrors(Graph.from_edges(hub + [(5, 1), (5, 2), (3, 4)]), 0) == frozenset({5})
+    # one vertex left over is always a clique
+    assert mirrors(Graph.from_edges(hub + [(5, 1), (5, 2), (5, 3)]), 0) == frozenset({5})
+    # a mirror need not be a satellite: 6 is a neighbor of 5 outside N(0)
+    assert mirrors(Graph.from_edges(hub + [(5, 1), (5, 2), (5, 3), (5, 6)]), 0) == frozenset({5})
+    # a triangle left over, and the same with one of its edges missing
+    triangle = [(2, 3), (3, 4), (2, 4)]
+    assert mirrors(Graph.from_edges(hub + [(5, 1)] + triangle), 0) == frozenset({5})
+    assert mirrors(Graph.from_edges(hub + [(5, 1)] + triangle[:2]), 0) == frozenset()
+
+
+def mirrors_by_definition(g, v):
+    """Reference: the vertices at distance two whose N(v) - N(u) is pairwise
+    adjacent."""
+    near = g.closed_neighborhood(v)
+    second = {u for w in g.neighbors(v) for u in g.neighbors(w)} - near
+    found = set()
+    for u in second:
+        rest = sorted(g.neighbors(v) - g.neighbors(u))
+        if all(g.has_edge(x, y) for i, x in enumerate(rest) for y in rest[i + 1 :]):
+            found.add(u)
+    return found
+
+
+def test_mirrors_match_definition():
+    rng = random.Random(11)
+    with_mirrors = 0
+    for seed in range(200):
+        if seed % 2:
+            g = mixed_instance(seed, max_n=30)
+        else:
+            n = rng.randrange(4, 30)
+            g = random_max_degree(n, rng, max_deg=rng.choice((3, 4, 5, 6)), proposals=4 * n)
+        for v in sorted(g.vertices()):
+            want = mirrors_by_definition(g, v)
+            assert mirrors(g, v) == want, (seed, v)
+            with_mirrors += bool(want)
+    assert with_mirrors > 200
 
 
 def test_shortest_cycle_lengths():
