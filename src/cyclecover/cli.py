@@ -50,6 +50,8 @@ def _read_input(path: str) -> str:
 
 
 def _solver_config(args) -> SolverConfig:
+    if args.node_budget < 0:
+        raise _Usage("--node-budget must be non-negative")
     return SolverConfig(struction=args.struction, node_budget=args.node_budget)
 
 

@@ -172,16 +172,6 @@ class Graph:
     def num_edges(self) -> int:
         return self._m
 
-    def max_degree(self) -> int:
-        if not self._adj:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj.values())
-
-    def min_degree(self) -> int:
-        if not self._adj:
-            return 0
-        return min(len(nbrs) for nbrs in self._adj.values())
-
     def connected_components(self) -> list[list[int]]:
         """Components as sorted id lists, ordered by smallest member."""
         seen: set[int] = set()

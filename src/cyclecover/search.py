@@ -22,11 +22,11 @@ The graph and the reductions keep that record (``Graph.touched``) between
 themselves; the engine never reads or writes it. Two guards raise
 ResourceLimitError: the node budget and the interpreter's recursion limit.
 
-Every YES certificate is re-verified before it is returned. Runs with
-``instrument_tau`` (off by default; the test suite turns it on) track the
-independent-cycle count tau along all branches: it never increases, and
-deleting a degree-d vertex from a connected graph with a connected result
-drops it by exactly d - 1.
+Every YES certificate is re-verified before it is returned. Along every
+branch the independent-cycle count tau never increases, and deleting a
+degree-d vertex from a connected graph with a connected result drops it by
+exactly d - 1; the test fixture ``checked_branchings`` checks this at every
+branching the test suite runs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .kernel import lp_lower_bound
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
-from .structure import circuit_rank, tau
+from .structure import circuit_rank
 from .treecover import min_vc_forest
 
 ENVELOPE_BASE_PLAIN = 1.15855
@@ -53,7 +53,6 @@ ENVELOPE_BASE_INTERLEAVED = 1.1504
 class SolverConfig:
     struction: bool = False
     node_budget: int = 10**8
-    instrument_tau: bool = False  # check the tau invariants at every branching
 
 
 @dataclass
@@ -63,9 +62,6 @@ class SearchStats:
     tree_leaf_count: int = 0
     k_exhausted_leaves: int = 0
     tau_root: int = 0
-    tau_trajectory_ok: bool = True
-    tau_drop_ok: bool = True
-    est_bound_ok: bool = True
     wallclock: float = 0.0
 
 
@@ -132,24 +128,8 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
     d = len(nlist)
     inc_cost = 1 + len(plan.mirrors)
 
-    inst = ctx.cfg.instrument_tau
-    if inst:
-        tau_here = tau(g)
-        base_connected = g.is_connected()
-        nset = set(nlist)
-        inside_edges = sum(len(g.neighbors(w) & nset) for w in nlist) // 2
-
     g_inc = g.clone()
     g_inc.remove_vertex(v)
-    if inst:  # the drop of one vertex deletion, before the mirrors go
-        tau_inc = tau(g_inc)
-        if tau_inc > tau_here:
-            stats.tau_trajectory_ok = False
-        if base_connected and g_inc.is_connected():
-            if tau_here - tau_inc != d - 1:
-                stats.tau_drop_ok = False
-            if tau_here - tau_inc < plan.est_vector[0]:
-                stats.est_bound_ok = False
     for u in plan.mirrors:
         g_inc.remove_vertex(u)
     best: tuple[int, set[int]] | None = None
@@ -163,19 +143,6 @@ def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[i
     for w in nlist:
         g.remove_vertex(w)
     g.remove_vertex(v)
-    if inst:
-        tau_exc = tau(g)
-        if tau_exc > tau_here:
-            stats.tau_trajectory_ok = False
-        # the exclude estimate is certified only for sparse neighborhoods
-        if (
-            base_connected
-            and g.is_connected()
-            and g.num_vertices() > 0
-            and inside_edges <= d - 2
-            and tau_here - tau_exc < plan.est_vector[1]
-        ):
-            stats.est_bound_ok = False
     cap_exc = cap if best is None else best[0] - 1
     r = _node(g, cap_exc - base - d, depth + 1, ctx, first_fit)
     if r is not None:
@@ -228,7 +195,7 @@ def _search(
     cfg = config or SolverConfig()
     stats = SearchStats()
     start = time.perf_counter()
-    stats.tau_root = tau(g) if cfg.instrument_tau else circuit_rank(g)
+    stats.tau_root = circuit_rank(g)
     try:
         result = _node(g.clone(), cap, 0, _Ctx(cfg=cfg, stats=stats), first_fit)
     except RecursionError:

@@ -2,10 +2,11 @@
 
 The dispatch is a greedy heuristic: take the highest-degree vertex, and among
 degree-4 candidates prefer one with mirrors, otherwise maximize a
-conservative estimate of how much cycle structure each branch destroys. The
-estimate components are lower bounds on the tau drop only for children that
-stay connected (and, on the exclude side, only while the neighborhood stays
-sparse); correctness never depends on them.
+conservative estimate of how much cycle structure the exclude branch destroys
+(``estimate_vector``). The estimate components are lower bounds on the tau
+drop only for children that stay connected (and, on the exclude side, only
+while the neighborhood stays sparse); the test fixture ``checked_branchings``
+checks them at every branching, and correctness never depends on them.
 
 Every plan carries the mirrors of its vertex, which the include branch takes
 along with it: some minimum cover holds either N(v) or v and all its mirrors
@@ -32,7 +33,6 @@ class BranchPlan:
     vertex: int
     mirrors: frozenset[int]
     rule_tag: RuleTag
-    est_vector: tuple[int, int]
 
 
 def estimate_vector(g: Graph, v: int) -> tuple[int, int]:
@@ -121,48 +121,38 @@ def shortest_cycle_through(g: Graph, v: int, stop: int | None = None) -> int:
 
 def select(g: Graph) -> BranchPlan:
     """Pick the branch vertex for a reduced graph (minimum degree >= 3)."""
-    if g.num_vertices() == 0:
+    adj = g.adjacency()
+    if not adj:
         raise ValueError("cannot select from an empty graph")
-    if g.min_degree() < 3:
-        raise ValueError("selection expects minimum degree >= 3; reduce first")
-    maxdeg = g.max_degree()
+    # one pass: check the precondition and collect the highest-degree vertices
+    maxdeg, top = 0, []
+    for u, nbrs in adj.items():
+        d = len(nbrs)
+        if d < 3:
+            raise ValueError("selection expects minimum degree >= 3; reduce first")
+        if d > maxdeg:
+            maxdeg, top = d, [u]
+        elif d == maxdeg:
+            top.append(u)
     if maxdeg >= 5:
-        v = min(u for u in g.vertices() if g.degree(u) == maxdeg)
-        return BranchPlan(
-            vertex=v,
-            mirrors=mirrors(g, v),
-            rule_tag=RuleTag.HIGH_DEGREE,
-            est_vector=estimate_vector(g, v),
-        )
+        v = min(top)
+        return BranchPlan(vertex=v, mirrors=mirrors(g, v), rule_tag=RuleTag.HIGH_DEGREE)
     if maxdeg == 4:
         # best exclude estimate first, lowest id on ties; the first candidate
         # with mirrors wins, and without one the first candidate does
-        cands = sorted(
-            (u for u in g.vertices() if g.degree(u) == 4),
-            key=lambda u: (-estimate_vector(g, u)[1], u),
-        )
+        cands = sorted(top, key=lambda u: (-estimate_vector(g, u)[1], u))
         v, found = cands[0], frozenset()
         for u in cands:
             found = mirrors(g, u)
             if found:
                 v = u
                 break
-        return BranchPlan(
-            vertex=v,
-            mirrors=found,
-            rule_tag=RuleTag.DEGREE4,
-            est_vector=estimate_vector(g, v),
-        )
+        return BranchPlan(vertex=v, mirrors=found, rule_tag=RuleTag.DEGREE4)
     # 3-regular: the exclude estimate ties, so bias toward short cycles; the
     # lowest id wins ties, so a later vertex must lie on a strictly shorter one
-    v, shortest = -1, g.num_vertices() + 2
-    for u in sorted(g.vertices()):
+    v, shortest = -1, len(adj) + 2
+    for u in sorted(top):
         length = shortest_cycle_through(g, u, stop=shortest)
         if length < shortest:
             v, shortest = u, length
-    return BranchPlan(
-        vertex=v,
-        mirrors=mirrors(g, v),
-        rule_tag=RuleTag.DEGREE3_REGULAR,
-        est_vector=estimate_vector(g, v),
-    )
+    return BranchPlan(vertex=v, mirrors=mirrors(g, v), rule_tag=RuleTag.DEGREE3_REGULAR)

@@ -169,7 +169,7 @@ def test_oversized_header_is_a_resource_limit(n):
     assert any(f"declares {n} vertices" in w for w in doc["warnings"])
 
 
-def test_exit_code_usage():
+def test_exit_code_usage(tmp_path):
     code, doc = run_doc(["solve", "-"], K4)
     assert code == 2 and doc["error"] == "usage" and doc["command"] == "solve"
     assert any("--k" in w for w in doc["warnings"])
@@ -180,6 +180,15 @@ def test_exit_code_usage():
     for argv in ([], ["nonesuch"], ["--k", "3"]):
         code, doc = run_doc(argv)
         assert code == 2 and doc["error"] == "usage" and doc["command"] is None
+    for argv in (["solve", "-", "--k", "3", "--node-budget", "-5"], ["minimize", "-", "--node-budget", "-5"]):
+        code, doc = run_doc(argv, K4)
+        assert code == 2 and doc["error"] == "usage" and doc["command"] == argv[0]
+        assert any("--node-budget" in w for w in doc["warnings"])
+    code, doc = run_doc(["minimize", "-", "--node-budget", "0"], K4)
+    assert code == 4 and doc["error"] == "resource_limit"
+    for out in (tmp_path / "missing" / "g.col", tmp_path):  # no parent directory; a directory
+        code, doc = run_doc(["gen", "--model", "cubic", "--n", "8", "--out", str(out)])
+        assert code == 2 and doc["error"] == "usage" and doc["command"] == "gen"
 
 
 def test_every_command_names_itself_in_usage_errors():
@@ -307,6 +316,7 @@ def test_byte_identical_reruns():
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclecover", "analyze"],
+        cwd=Path(__file__).resolve().parent.parent / "src",
         capture_output=True,
         text=True,
         timeout=120,

@@ -122,7 +122,7 @@ def test_cubic_rule_picks_smallest_girth_vertex():
     plan = select(g)
     assert plan.rule_tag is RuleTag.DEGREE3_REGULAR
     assert plan.vertex == 0
-    assert plan.est_vector == (2, 4)
+    assert estimate_vector(g, plan.vertex) == (2, 4)
     # disjoint union: the prism's triangle vertices beat the Petersen girth
     both = Graph()
     for u, v in g.edges():
