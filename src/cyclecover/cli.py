@@ -50,8 +50,6 @@ def _read_input(path: str) -> str:
 
 
 def _solver_config(args) -> SolverConfig:
-    if args.node_budget < 0:
-        raise _Usage("--node-budget must be non-negative")
     return SolverConfig(struction=args.struction, node_budget=args.node_budget)
 
 
@@ -83,8 +81,6 @@ def _doc(command: str | None, warnings: list[str], **fields) -> dict:
 
 def _cmd_solve(args, warnings):
     g = parse_dimacs(_read_input(args.graph), warnings)
-    if args.k < 0:
-        raise _Usage("--k must be non-negative")
     verdict = vc_decide(g, args.k, _solver_config(args))
     cover = sorted(verdict.cover) if verdict.cover is not None else None
     return _doc(
@@ -113,8 +109,6 @@ def _cmd_minimize(args, warnings):
 
 def _cmd_kernelize(args, warnings):
     g = parse_dimacs(_read_input(args.graph), warnings)
-    if args.k < 0:
-        raise _Usage("--k must be non-negative")
     work = g.clone()
     trace = ReductionTrace()
     result = nt_kernelize(work, args.k, trace)
@@ -190,8 +184,6 @@ def _cmd_analyze(args, warnings):
 
 
 def _cmd_gen(args, warnings):
-    if args.n < 0:
-        raise _Usage("--n must be non-negative")
     if args.n > MAX_VERTICES:
         raise ResourceLimitError(f"--n {args.n} is above the limit of {MAX_VERTICES} vertices")
     try:
@@ -233,6 +225,14 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of --k, --n and --node-budget."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cyclecover",
@@ -242,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--struction", action="store_true", help="enable the struction rule")
-    solver_flags.add_argument("--node-budget", type=int, default=10**8, metavar="N")
+    solver_flags.add_argument("--node-budget", type=non_negative_int, default=10**8, metavar="N")
 
     p = sub.add_parser("solve", parents=[solver_flags], help="decide whether a cover of size k exists")
     p.add_argument("graph", help="DIMACS file, or - for stdin")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=non_negative_int, required=True)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("minimize", parents=[solver_flags], help="exact minimum vertex cover")
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="emit the half-integral kernel")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=non_negative_int, required=True)
     p.set_defaults(handler=_cmd_kernelize)
 
     p = sub.add_parser("tau", help="independent-cycle count and degree surplus")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the DIMACS text to this path")
     p.set_defaults(handler=_cmd_gen)

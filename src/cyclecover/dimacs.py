@@ -2,7 +2,8 @@
 
 Accepted grammar: "c ..." comments, exactly one "p edge N M" header, then M
 lines "e u v" with 1-based endpoints not exceeding N. Tokens are separated by
-ASCII spaces; lines end with LF or CRLF. Parsed graphs keep the 1-based ids.
+ASCII spaces; lines end with LF or CRLF. Counts and ids are runs of ASCII
+decimal digits: no sign, no underscore. Parsed graphs keep the 1-based ids.
 Duplicate edge lines collapse to one edge and are reported through the
 warnings list rather than rejected.
 
@@ -22,6 +23,15 @@ from .graph import Graph
 MAX_VERTICES = 10**6
 
 
+def _digits(token: str) -> int | None:
+    """The value of a run of ASCII decimal digits; None for any other token,
+    such as the sign and underscores that int() accepts."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -36,7 +46,8 @@ def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
         if line.startswith("c"):
             continue
         tokens = line.split(" ")
-        tokens = [t for t in tokens if t != ""]
+        if "" in tokens:  # runs of spaces
+            tokens = [t for t in tokens if t != ""]
         if not tokens:
             raise DimacsParseError("blank line", idx)
         kind = tokens[0]
@@ -45,12 +56,9 @@ def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
                 raise DimacsParseError("duplicate header", idx)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise DimacsParseError(f"malformed header {line!r}", idx)
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise DimacsParseError(f"non-integer header field in {line!r}", idx) from None
-            if n < 0 or m < 0:
-                raise DimacsParseError("negative count in header", idx)
+            n, m = _digits(tokens[2]), _digits(tokens[3])
+            if n is None or m is None:
+                raise DimacsParseError(f"header count is not a decimal number in {line!r}", idx)
             if n > MAX_VERTICES:
                 raise ResourceLimitError(
                     f"line {idx}: header declares {n} vertices, above the limit of {MAX_VERTICES}"
@@ -63,10 +71,9 @@ def parse_dimacs(text: str, warnings: list[str] | None = None) -> Graph:
                 raise DimacsParseError("edge before header", idx)
             if len(tokens) != 3:
                 raise DimacsParseError(f"malformed edge line {line!r}", idx)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise DimacsParseError(f"non-integer endpoint in {line!r}", idx) from None
+            u, v = _digits(tokens[1]), _digits(tokens[2])
+            if u is None or v is None:
+                raise DimacsParseError(f"endpoint is not a decimal number in {line!r}", idx)
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise DimacsParseError(f"vertex out of range 1..{n} in {line!r}", idx)
             if u == v:
@@ -103,10 +110,10 @@ def parse_cover(text: str) -> set[int]:
         line = raw.strip()
         if not line:
             continue
-        try:
-            cover.add(int(line))
-        except ValueError:
-            raise DimacsParseError(f"cover line is not an integer: {line!r}", idx) from None
+        v = _digits(line)
+        if v is None or v < 1:
+            raise DimacsParseError(f"cover line is not a vertex id: {line!r}", idx)
+        cover.add(v)
     return cover
 
 

@@ -7,7 +7,9 @@ to their minima), and otherwise branches on a selected vertex v: include v
 with its mirrors, or exclude v by taking its whole neighborhood. Some minimum
 cover falls in one of the two branches (see ``selection.mirrors``).
 Decision mode returns on the first branch that fits the budget; minimization
-mode keeps the best and tightens the bound.
+mode keeps the best and tightens the bound. After reduction, budgets and
+covers refer to the reduced graph: a node charges the reductions' cost once
+and lifts its cover through the reduction trace once, on the way out.
 
 The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
 feasible), so a node pays for the matching behind the LP bound only when
@@ -73,115 +75,87 @@ class Verdict:
     stats: SearchStats
 
 
-@dataclass
-class _Ctx:
-    cfg: SolverConfig
-    stats: SearchStats
-
-
-def _node(g: Graph, cap: int, depth: int, ctx: _Ctx, first_fit: bool) -> tuple[int, set[int]] | None:
+def _node(
+    g: Graph, cap: int, depth: int, cfg: SolverConfig, stats: SearchStats, first_fit: bool
+) -> tuple[int, set[int]] | None:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
     mode returns the exact minimum when it is within cap. The result refers to
     g as handed in; g itself is consumed.
     """
-    stats = ctx.stats
-    if stats.nodes_expanded >= ctx.cfg.node_budget:
-        raise ResourceLimitError(f"node budget {ctx.cfg.node_budget} exhausted")
+    if stats.nodes_expanded >= cfg.node_budget:
+        raise ResourceLimitError(f"node budget {cfg.node_budget} exhausted")
     stats.nodes_expanded += 1
-    if depth > stats.max_depth:
-        stats.max_depth = depth
-    if cap < 0:
+    stats.max_depth = max(stats.max_depth, depth)
+    if cap < 0 or (cap == 0 and g.num_edges()):
         stats.k_exhausted_leaves += 1
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if cap == 0:
-        stats.k_exhausted_leaves += 1
-        return None
 
     trace = ReductionTrace()
-    reduce_fixpoint(g, trace, use_struction=ctx.cfg.struction)
-    base = trace.k_delta
-    if base > cap:
+    reduce_fixpoint(g, trace, use_struction=cfg.struction)
+    cap -= trace.k_delta
+    if cap < 0:
         stats.k_exhausted_leaves += 1
         return None
     comps = g.connected_components()
     if g.num_edges() == g.num_vertices() - len(comps):  # a forest
-        size, fcover = min_vc_forest(g)
+        size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-        if base + size > cap:
+        if size > cap:
             stats.k_exhausted_leaves += 1
             return None
-        return base + size, lift_cover(trace, fcover)
-    if base + (g.num_vertices() + 1) // 2 > cap and base + lp_lower_bound(g) > cap:
+    elif (g.num_vertices() + 1) // 2 > cap and lp_lower_bound(g) > cap:
         stats.k_exhausted_leaves += 1
         return None
-
-    if len(comps) > 1:
-        return _solve_components(g, comps, cap, base, depth, ctx, trace)
-
-    plan = select(g)
-    v = plan.vertex
-    nlist = sorted(g.neighbors(v))
-    d = len(nlist)
-    inc_cost = 1 + len(plan.mirrors)
-
-    g_inc = g.clone()
-    g_inc.remove_vertex(v)
-    for u in plan.mirrors:
-        g_inc.remove_vertex(u)
-    best: tuple[int, set[int]] | None = None
-    r = _node(g_inc, cap - base - inc_cost, depth + 1, ctx, first_fit)
-    if r is not None:
-        size, cov = r
-        best = (base + inc_cost + size, lift_cover(trace, cov | {v} | plan.mirrors))
-        if first_fit:
-            return best
-
-    for w in nlist:
-        g.remove_vertex(w)
-    g.remove_vertex(v)
-    cap_exc = cap if best is None else best[0] - 1
-    r = _node(g, cap_exc - base - d, depth + 1, ctx, first_fit)
-    if r is not None:
-        size, cov = r
-        total = base + d + size
-        if best is None or total < best[0]:
-            best = (total, lift_cover(trace, cov | set(nlist)))
-    return best
+    elif len(comps) > 1:
+        r = _solve_components(g, comps, cap, depth, cfg, stats)
+        if r is None:
+            return None
+        size, cover = r
+    else:
+        plan = select(g)
+        take = (plan.vertex, *plan.mirrors)
+        g_inc = g.clone()
+        for u in take:
+            g_inc.remove_vertex(u)
+        inc = _node(g_inc, cap - len(take), depth + 1, cfg, stats, first_fit)
+        if inc is not None:
+            size, cover = len(take) + inc[0], inc[1].union(take)
+            cap = size - 1  # the exclude branch has to beat it
+        if inc is None or not first_fit:
+            nlist = sorted(g.neighbors(plan.vertex))
+            for u in (*nlist, plan.vertex):
+                g.remove_vertex(u)
+            exc = _node(g, cap - len(nlist), depth + 1, cfg, stats, first_fit)
+            if exc is not None:
+                size, cover = len(nlist) + exc[0], exc[1].union(nlist)
+            elif inc is None:
+                return None
+    return trace.k_delta + size, lift_cover(trace, cover)
 
 
 def _solve_components(
-    g: Graph,
-    comps: list[list[int]],
-    cap: int,
-    base: int,
-    depth: int,
-    ctx: _Ctx,
-    trace: ReductionTrace,
+    g: Graph, comps: list[list[int]], cap: int, depth: int, cfg: SolverConfig, stats: SearchStats
 ) -> tuple[int, set[int]] | None:
     """Components are independent: their minima add. Each is minimized under
     the budget left over after lower-bounding the others."""
-    remaining = cap - base
     subs = [g.induced_subgraph(c) for c in comps]
     bounds = [lp_lower_bound(s) for s in subs]
-    if sum(bounds) > remaining:
-        ctx.stats.k_exhausted_leaves += 1
+    if sum(bounds) > cap:
+        stats.k_exhausted_leaves += 1
         return None
     total = 0
     cover: set[int] = set()
     for i, sub in enumerate(subs):
-        sub_cap = remaining - sum(bounds[i + 1 :])
-        r = _node(sub, sub_cap, depth + 1, ctx, first_fit=False)
+        r = _node(sub, cap - total - sum(bounds[i + 1 :]), depth + 1, cfg, stats, first_fit=False)
         if r is None:
             return None
-        size, cov = r
-        total += size
-        remaining -= size
-        cover |= cov
-    return base + total, lift_cover(trace, cover)
+        total += r[0]
+        cover |= r[1]
+    return total, cover
 
 
 def _search(
@@ -197,7 +171,7 @@ def _search(
     start = time.perf_counter()
     stats.tau_root = circuit_rank(g)
     try:
-        result = _node(g.clone(), cap, 0, _Ctx(cfg=cfg, stats=stats), first_fit)
+        result = _node(g.clone(), cap, 0, cfg, stats, first_fit)
     except RecursionError:
         raise ResourceLimitError(
             f"search depth {stats.max_depth} reached the interpreter's recursion limit "
@@ -224,8 +198,7 @@ def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[i
     result, stats = _search(g, g.num_vertices(), config, first_fit=False)
     if result is None:
         raise AssertionError("minimization found no cover within n, which is impossible")
-    size, cover = result
-    return size, cover, stats
+    return result[0], result[1], stats
 
 
 def _check_certificate(g: Graph, cover: set[int], size: int, cap: int) -> None:
@@ -239,9 +212,9 @@ def _check_certificate(g: Graph, cover: set[int], size: int, cap: int) -> None:
 
 def check_node_budget(stats: SearchStats, k: int) -> dict:
     """Report-only comparison of the explored tree against the analytical
-    envelopes. Never raises; consumers decide what to do with it."""
-    plain = ENVELOPE_BASE_PLAIN**k
-    interleaved = ENVELOPE_BASE_INTERLEAVED**k
+    envelopes. Never raises: an envelope beyond float range is None, and
+    every tree lies within it."""
+    plain, interleaved = (_envelope(b, k) for b in (ENVELOPE_BASE_PLAIN, ENVELOPE_BASE_INTERLEAVED))
     nodes = stats.nodes_expanded
     return {
         "k": k,
@@ -249,7 +222,14 @@ def check_node_budget(stats: SearchStats, k: int) -> dict:
         "tau_root": stats.tau_root,
         "envelope_1_15855": plain,
         "envelope_1_1504": interleaved,
-        "within_envelope_1_15855": nodes <= plain,
-        "within_envelope_1_1504": nodes <= interleaved,
+        "within_envelope_1_15855": plain is None or nodes <= plain,
+        "within_envelope_1_1504": interleaved is None or nodes <= interleaved,
         "log_nodes_over_k": (math.log(nodes) / k) if k > 0 and nodes > 0 else None,
     }
+
+
+def _envelope(growth: float, k: int) -> float | None:
+    try:
+        return growth**k
+    except OverflowError:  # 1.15855**k once k is above about 4,820
+        return None

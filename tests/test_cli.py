@@ -59,6 +59,18 @@ def test_minimize_emits_stats_and_cover():
     assert stats["envelope_1_1504"] == pytest.approx(1.1504**6)
 
 
+def test_envelopes_beyond_float_range_are_null(tmp_path):
+    path = tmp_path / "c.col"
+    code, _ = run_doc(["gen", "--model", "cycle", "--n", "12000", "--out", str(path)])
+    assert code == 0
+    code, doc = run_doc(["minimize", str(path)])
+    assert code == 0 and doc["size"] == 6000
+    assert doc["stats"]["envelope_1_15855"] is None and doc["stats"]["envelope_1_1504"] is None
+    code, doc = run_doc(["solve", "-", "--k", "7000"], K4)
+    assert code == 0 and doc["answer"] == "YES"
+    assert doc["stats"]["envelope_1_15855"] is None and doc["stats"]["envelope_1_1504"] is None
+
+
 def test_tau_command():
     pet = emit_dimacs(petersen_graph())
     code, doc = run_doc(["tau", "-"], pet)
@@ -141,6 +153,22 @@ def test_verify_accepts_minimize_output(tmp_path):
         assert vdoc["answer"] is False
 
 
+@pytest.mark.parametrize("line", ["-3", "0", "1_0", "+1", "\u0661"])
+def test_verify_rejects_cover_lines_that_are_not_vertex_ids(tmp_path, line):
+    graph_path = tmp_path / "g.col"
+    cover_path = tmp_path / "c.txt"
+    graph_path.write_text(K4)
+    cover_path.write_text(f"1\n{line}\n2\n", encoding="utf-8")
+    code, doc = run_doc(["verify", str(graph_path), "--cover", str(cover_path)])
+    assert code == 3 and doc["error"] == "parse" and doc["cover"] is None
+
+
+@pytest.mark.parametrize("text", ["p edge 1_0 0\n", "p edge +2 1\ne 1 2\n", "p edge 2 1\ne 1 +2\n"])
+def test_signed_or_underscored_numbers_are_parse_errors(text):
+    code, doc = run_doc(["minimize", "-"], text)
+    assert code == 3 and doc["error"] == "parse"
+
+
 def test_oracle_command_agrees():
     dim = emit_dimacs(generate("maxdeg3", 16, 2))
     _, odoc = run_doc(["oracle", "-"], dim)
@@ -184,6 +212,10 @@ def test_exit_code_usage(tmp_path):
         code, doc = run_doc(argv, K4)
         assert code == 2 and doc["error"] == "usage" and doc["command"] == argv[0]
         assert any("--node-budget" in w for w in doc["warnings"])
+    for argv in (["solve", "-", "--k", "-1"], ["kernelize", "-", "--k", "-1"]):
+        code, doc = run_doc(argv, K4)
+        assert code == 2 and doc["error"] == "usage" and doc["command"] == argv[0]
+        assert any("--k" in w for w in doc["warnings"])
     code, doc = run_doc(["minimize", "-", "--node-budget", "0"], K4)
     assert code == 4 and doc["error"] == "resource_limit"
     for out in (tmp_path / "missing" / "g.col", tmp_path):  # no parent directory; a directory

@@ -37,6 +37,12 @@ def test_parse_duplicate_edges_warn():
         ("p edge 2 1\nq 1 2\n", 2),          # unknown line kind
         ("p edge 2 1\ne 1\n", 2),            # short edge line
         ("p edge x 1\ne 1 2\n", 1),          # bad header int
+        ("p edge 1_0 0\n", 1),               # int() takes underscores
+        ("p edge +2 1\ne 1 2\n", 1),         # and signs
+        ("p edge -2 1\ne 1 2\n", 1),         # negative count
+        ("p edge 2 1\ne 1 +2\n", 2),         # signed endpoint
+        ("p edge 2 1\ne 1\t 2\n", 2),        # int() strips tabs
+        ("p edge 2 1\ne \u0661 2\n", 2),     # non-ASCII digit
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -77,5 +83,7 @@ def test_cover_files():
     assert text == "1\n4\n9\n"
     assert parse_cover(text) == {1, 4, 9}
     assert parse_cover("") == set()
-    with pytest.raises(DimacsParseError):
-        parse_cover("1\ntwo\n")
+    assert parse_cover(" 3 \r\n\n12\n") == {3, 12}
+    for bad in ("two", "-3", "0", "1_0", "+1", "1.0", "\u0661"):
+        with pytest.raises(DimacsParseError, match="line 2"):
+            parse_cover(f"1\n{bad}\n")

@@ -161,6 +161,12 @@ def test_stats_are_populated():
     assert report["k"] == 6
     assert report["envelope_1_15855"] == pytest.approx(1.15855**6)
     assert report["nodes_expanded"] == stats.nodes_expanded
+    huge = check_node_budget(stats, 7000)  # 1.1504**7000 is beyond float range
+    assert huge["envelope_1_15855"] is None and huge["envelope_1_1504"] is None
+    assert huge["within_envelope_1_15855"] and huge["within_envelope_1_1504"]
+    between = check_node_budget(stats, 4900)  # only the plain envelope overflows
+    assert between["envelope_1_15855"] is None and between["within_envelope_1_15855"]
+    assert between["envelope_1_1504"] == pytest.approx(1.1504**4900)
 
 
 def test_deterministic_covers():
@@ -217,15 +223,17 @@ def search_fingerprint(answer, cover, stats):
         stats.nodes_expanded,
         stats.max_depth,
         stats.tree_leaf_count,
+        stats.k_exhausted_leaves,
     )
 
 
 # sha256 over the fingerprints of vc_minimum (default and struction) and
 # vc_decide at the optimum and one below, recorded when the include branch
-# began to take the branch vertex's mirrors. A change that keeps every search
-# tree and certificate keeps the digest; a change that means to alter the
-# search re-pins it and says why.
-SAME_TREE_DIGEST = "98522a9c676ca4f5b48b20ccd109aa71a0f65e806ee8d1f008b2ff75a747c4ab"
+# began to take the branch vertex's mirrors and re-recorded, with the same
+# trees, when the fingerprint gained the prune count. A change that keeps
+# every search tree, prune and certificate keeps the digest; a change that
+# means to alter the search re-pins it and says why.
+SAME_TREE_DIGEST = "e810a4db9c2e46c0dfa57a71289bc318e772414f7814fc66e746d0d2fdbb1a6d"
 
 
 def test_search_trees_and_certificates_pinned():
