@@ -18,8 +18,12 @@ class Graph:
 
     ``touched`` is None, or a set to which every mutation adds the vertices
     whose neighborhood it changed; a new vertex counts as changed, and ids
-    deleted later stay in the set. A set vouches that the graph was at a
-    reduction fixpoint when the set began; None, as on a new graph, vouches
+    deleted later stay in the set. A set vouches that the graph had just
+    left ``reduce_fixpoint`` when the set began, so that only the marked
+    vertices and their neighbors need another look: no vertex had degree
+    below 3, and none was unconfined where the rule's local scan looks. An
+    unconfined vertex farther from the changes may remain, so the marks
+    promise less than a full rescan would. None, as on a new graph, vouches
     nothing. ``reduce_fixpoint`` leaves it empty, copies carry it, and an
     induced subgraph keeps the marks of its vertices and marks each one that
     lost a neighbor.

@@ -2,7 +2,9 @@
 
 Every rule mutates the graph, appends trace entries, and accounts its cover
 cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
-size s + k_delta for the original.
+size s + k_delta for the original. ``reduce_fixpoint`` runs the degree rules
+(isolated, degree-1, degree-2 folding), includes unconfined vertices, a rule
+that covers domination, and optionally the struction.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
@@ -168,9 +170,12 @@ def reduce_low_degree(
 
 
 def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
-    """Include one vertex whose closed neighborhood swallows an adjacent
-    vertex's. Lowest dominator id first. Returns whether a rule fired."""
-    u = _first_dominator(g, set(g.vertices()))
+    """Include one vertex u whose closed neighborhood swallows an adjacent
+    vertex v's: u is the only neighbor of v outside N(u). Lowest dominator
+    id first. Returns whether a rule fired. ``reduce_fixpoint`` finds every
+    dominator as an unconfined vertex."""
+    adj = g.adjacency()
+    u = next((u for u in sorted(adj) if any(len(adj[v] - adj[u]) == 1 for v in adj[u])), None)
     if u is None:
         return False
     trace.include(u)
@@ -216,16 +221,20 @@ def struction(g: Graph, u: int, trace: ReductionTrace) -> bool:
 def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False) -> None:
     """Run all enabled rules until none applies.
 
-    Rules fire exactly as repeated full scans would fire them, lowest id
-    first, but only vertices that may newly match a rule are examined: for
-    the degree rules those whose neighborhood changed, for domination those
-    and their neighbors. A ``g.touched`` set vouches that g was at a fixpoint
-    when the set began, so only its members count as changed; None means all
-    do. The struction scan is always full. Always leaves ``g.touched`` empty.
+    The degree rules fire exactly as repeated full scans would fire them,
+    lowest id first, but only vertices that may newly match a rule are
+    examined: for the degree rules those whose neighborhood changed, for the
+    unconfined-vertex rule those and their neighbors. A ``g.touched`` set
+    vouches that g left this function when the set began, so only its
+    members count as changed; None means all do. Whether a vertex is
+    unconfined depends on more than its neighbors, so a change can also free
+    a vertex the local scan does not re-examine; missing it costs search
+    nodes, never correctness. The struction scan is always full. Always
+    leaves ``g.touched`` empty.
     """
     adj = g.adjacency()
     changed = g.touched  # None: every vertex may match a rule
-    unchecked: set[int] = set()  # domination candidates not yet examined
+    unchecked: set[int] = set()  # unconfined-rule candidates not yet examined
     while True:
         g.touched = None if changed is None else set()
         reduce_low_degree(g, trace, changed)
@@ -239,36 +248,62 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
                     unchecked.add(x)
                     unchecked |= nbrs
         g.touched = set()
-        u = _first_dominator(g, unchecked)
-        if u is not None:
-            trace.include(u)
-            g.remove_vertex(u)
+        v = _first_unconfined(adj, unchecked)
+        if v is not None:
+            trace.include(v)
+            g.remove_vertex(v)
         elif not (use_struction and _any_struction(g, trace)):
             return
         changed = g.touched
 
 
-def _first_dominator(g: Graph, unchecked: set[int]) -> int | None:
-    """Lowest-id dominator among unchecked; the ids examined leave the set.
-
-    u dominates a neighbor v when N(v) <= N[u]. As u lies in N(v) but not
-    in N(u), that holds iff v has no other neighbor or every other neighbor
-    of v lies in N(u); the disjointness test settles the common triangle-free
-    case without building a set.
-    """
-    adj = g.adjacency()
+def _first_unconfined(adj: dict[int, set[int]], unchecked: set[int]) -> int | None:
+    """Lowest-id unconfined vertex among unchecked; the ids examined leave
+    the set."""
     order = sorted(unchecked)
-    for i, u in enumerate(order):
-        nu = adj.get(u)
-        if nu is None:
-            continue
-        for v in nu:
-            nv = adj[v]
-            if len(nv) == 1 or (not nv.isdisjoint(nu) and len(nv & nu) == len(nv) - 1):
-                unchecked.difference_update(order[: i + 1])
-                return u
+    for i, v in enumerate(order):
+        if v in adj and _unconfined(adj, v):
+            unchecked.difference_update(order[: i + 1])
+            return v
     unchecked.clear()
     return None
+
+
+def _unconfined(adj: dict[int, set[int]], v: int) -> bool:
+    """Is v unconfined (Xiao & Nagamochi, TCS 2013)? If so, some minimum
+    cover contains v.
+
+    S starts as {v} and stays independent. Of the u in N(S) with exactly one
+    neighbor in S, take the one with the fewest neighbors outside N[S],
+    lowest id first: none outside means v is unconfined, one (w) joins S,
+    more, or no such u, means v is confined. At |S| = 1 this is the
+    domination test; there, and at every later step, a u of degree 3 or more
+    with no neighbor in N(S) has too many outside, which the disjointness
+    test settles without building a set.
+    """
+    s = None  # S = {v} until the walk extends it, built only then
+    ns = once = adj[v]  # N(S), and its vertices with one neighbor in S
+    while True:
+        u = None
+        for x in once:
+            nx = adj[x]
+            if len(nx) > 2 and nx.isdisjoint(ns):
+                continue
+            out = nx - ns  # x's neighbor in S, and those outside N[S]
+            if len(out) == 1:
+                return True
+            if len(out) == 2 and (u is None or x < u):
+                u, rest = x, out
+        if u is None:
+            return False
+        s = s or {v}
+        a, b = rest
+        w = b if a in s else a
+        s.add(w)
+        nw = adj[w]
+        once = once - nw
+        once |= nw - ns
+        ns = ns | nw
 
 
 def _any_struction(g: Graph, trace: ReductionTrace) -> bool:

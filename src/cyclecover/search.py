@@ -1,7 +1,9 @@
 """Branch-and-reduce decision and minimization engines.
 
 One recursive node procedure serves both entry points. A node reduces to
-minimum degree 3, hands forests to the linear solver, prunes when the LP
+minimum degree 3 with no unconfined vertex near what its parent deleted
+(an unconfined vertex lies in some minimum cover, and dominating vertices
+are among them), hands forests to the linear solver, prunes when the LP
 lower bound exceeds the budget, splits into components (solved independently
 to their minima), and otherwise branches on a selected vertex v: include v
 with its mirrors, or exclude v by taking its whole neighborhood. Some minimum
@@ -21,8 +23,10 @@ A node pays only for what decides its answer: one component scan, one graph
 copy (the include branch; the exclude branch consumes the node's graph), and
 reductions that re-examine only the vertices around what the branch deleted.
 The graph and the reductions keep that record (``Graph.touched``) between
-themselves; the engine never reads or writes it. Two guards raise
-ResourceLimitError: the node budget and the interpreter's recursion limit.
+themselves; the engine only clears it on its root copy, so that a handed-in
+graph is scanned in full once and solved as its unmarked twin. Two guards
+raise ResourceLimitError: the node budget and the interpreter's recursion
+limit.
 
 Every YES certificate is re-verified before it is returned. Along every
 branch the independent-cycle count tau never increases, and deleting a
@@ -170,8 +174,10 @@ def _search(
     stats = SearchStats()
     start = time.perf_counter()
     stats.tau_root = circuit_rank(g)
+    root = g.clone()
+    root.touched = None  # g's marks vouch only for what a local scan reached
     try:
-        result = _node(g.clone(), cap, 0, cfg, stats, first_fit)
+        result = _node(root, cap, 0, cfg, stats, first_fit)
     except RecursionError:
         raise ResourceLimitError(
             f"search depth {stats.max_depth} reached the interpreter's recursion limit "

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cyclecover.cli import COMMANDS, main
 from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
 from cyclecover.generators import generate, petersen_graph
+from cyclecover.search import vc_decide
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema" / "result.json").read_text())
 
@@ -57,6 +58,9 @@ def test_minimize_emits_stats_and_cover():
     assert stats["tau_root"] == 6
     assert stats["envelope_1_15855"] == pytest.approx(1.15855**6)
     assert stats["envelope_1_1504"] == pytest.approx(1.1504**6)
+    code, doc = run_doc(["solve", "-", "--k", "5"], pet)
+    assert code == 0 and doc["answer"] == "NO"
+    assert doc["stats"]["k_exhausted_leaves"] == vc_decide(petersen_graph(), 5).stats.k_exhausted_leaves > 0
 
 
 def test_envelopes_beyond_float_range_are_null(tmp_path):

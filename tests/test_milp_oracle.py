@@ -1,7 +1,7 @@
 """Exact checks past the brute-force oracle's 26 vertices.
 
 The solver is compared with HiGHS (``scipy.optimize.milp``) on graphs of
-60-100 vertices, where the search branches, in minimization and in both
+60-120 vertices, where the search branches, in minimization and in both
 decision outcomes. scipy is a test-only dependency: without it the module is
 skipped, and the package itself stays standard-library only.
 """
@@ -45,8 +45,8 @@ def instance(model: str, n: int, seed: int) -> Graph:
 
 @pytest.mark.parametrize(
     "model, n, seed",
-    [("cubic", 60, 4), ("cubic", 80, 5), ("cubic", 100, 6),
-     ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7)],
+    [("cubic", 60, 4), ("cubic", 80, 5), ("cubic", 100, 6), ("cubic", 120, 7),
+     ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7), ("maxdeg5", 120, 8)],
 )
 def test_solver_agrees_with_milp(model, n, seed):
     g = instance(model, n, seed)

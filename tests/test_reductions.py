@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from cyclecover import reductions
 from cyclecover.generators import generate, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import (
     FoldDeg2,
+    Include,
     ReductionTrace,
     dominated_vertex,
     fold_degree2,
@@ -177,21 +179,55 @@ def low_degree_by_full_rescans(g, trace):
                 trace.fold(u=v, s=s, r=r, kept=r)
 
 
-def reduce_by_full_rescans(g, trace, use_struction):
-    """Reference fixpoint: after every firing each rule rescans the graph."""
+def is_unconfined(g, v):
+    """The unconfined-vertex rule by its definition (Xiao & Nagamochi, TCS
+    2013), with N(S) and N[S] rebuilt from S at every step: of the u in N(S)
+    with exactly one neighbor in S, the one with the fewest neighbors outside
+    N[S], lowest id first, decides. None outside: unconfined; one: it joins S;
+    more, or no such u: confined."""
+    s = {v}
+    while True:
+        ns = set().union(*(g.neighbors(x) for x in s))
+        closed = ns | s
+        steps = [(len(g.neighbors(u) - closed), u) for u in ns if len(g.neighbors(u) & s) == 1]
+        if not steps:
+            return False
+        out, u = min(steps)
+        if out != 1:
+            return out == 0
+        s |= g.neighbors(u) - closed
+
+
+def adjacency_snapshot(g):
+    return {x: set(g.neighbors(x)) for x in g.vertices()}
+
+
+def reduce_by_rescans(g, trace, use_struction, since=None):
+    """Reference fixpoint without ``Graph.touched``. The degree rules rescan
+    the whole graph after every firing. The unconfined rule examines, lowest
+    id first, the vertices not yet examined among those whose neighborhood
+    differs from the snapshot taken at its previous scan, and their
+    neighbors; the first scan compares with ``since``, the adjacency when g
+    was last reduced, or examines every vertex when it is None."""
+    unchecked = set()
     while True:
         low_degree_by_full_rescans(g, trace)
-        dominator = next(
-            (
-                u
-                for u in sorted(g.vertices())
-                if any(g.closed_neighborhood(v) <= g.closed_neighborhood(u) for v in g.neighbors(u))
-            ),
-            None,
-        )
-        if dominator is not None:
-            trace.include(dominator)
-            g.remove_vertex(dominator)
+        if since is None:
+            unchecked = set(g.vertices())
+        else:
+            for x in g.vertices():
+                if g.neighbors(x) != since.get(x):
+                    unchecked |= g.closed_neighborhood(x)
+        since = adjacency_snapshot(g)
+        found = None
+        for v in sorted(unchecked):
+            unchecked.discard(v)
+            if g.has_vertex(v) and is_unconfined(g, v):
+                found = v
+                break
+        if found is not None:
+            trace.include(found)
+            g.remove_vertex(found)
             continue
         if use_struction and any(
             g.degree(u) == 3 and struction(g, u, trace) for u in sorted(g.vertices())
@@ -225,22 +261,60 @@ def test_dirty_fixpoint_matches_full_rescans(use_struction):
         ref = g.clone()
         t, t_ref = ReductionTrace(), ReductionTrace()
         reduce_fixpoint(g, t, use_struction)
-        reduce_by_full_rescans(ref, t_ref, use_struction)
+        reduce_by_rescans(ref, t_ref, use_struction)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert g.edge_set() == ref.edge_set() and g.touched == set(), seed
 
         # the reduced graph, which now tracks its changes, loses a few
         # vertices, as a branch does; only the vertices around them are
         # re-examined
+        since = adjacency_snapshot(g)
         live = sorted(g.vertices())
         for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
             g.remove_vertex(v)
         ref = g.clone()
         t, t_ref = ReductionTrace(), ReductionTrace()
         reduce_fixpoint(g, t, use_struction)
-        reduce_by_full_rescans(ref, t_ref, use_struction)
+        reduce_by_rescans(ref, t_ref, use_struction, since)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert g.edge_set() == ref.edge_set() and sorted(g.vertices()) == sorted(ref.vertices()), seed
         assert g.touched == set()
         fired += len(t.entries)
     assert fired > 500
+
+
+def test_rule_includes_unconfined_vertices_of_some_minimum_cover(monkeypatch):
+    included = []
+    real = reductions._first_unconfined
+
+    def recording(adj, unchecked):
+        v = real(adj, unchecked)
+        if v is not None:
+            included.append((Graph.from_edges([(a, b) for a in adj for b in adj[a] if a < b]), v))
+        return v
+
+    monkeypatch.setattr(reductions, "_first_unconfined", recording)
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(8, 23)
+        g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=4 * n)
+        reduce_fixpoint(g, ReductionTrace())
+    assert len(included) > 100
+    for h, v in included:
+        assert is_unconfined(h, v)
+        opt = min_vc_bruteforce(h)[0]
+        h.remove_vertex(v)
+        assert min_vc_bruteforce(h)[0] == opt - 1
+
+
+def test_unconfined_beyond_domination():
+    """In the triangular prism nothing is dominated, but every vertex is
+    unconfined at |S| = 2: for v = 0, N(1) leaves N[0] only at 5, and with
+    S = {0, 5} all of N(4) lies in N[S]."""
+    prism = Graph.from_edges([(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (0, 2), (1, 5), (4, 3)])
+    assert not dominated_vertex(prism.clone(), ReductionTrace())
+    assert all(is_unconfined(prism, v) for v in prism.vertices())
+    t = ReductionTrace()
+    reduce_fixpoint(prism, t)
+    assert t.entries[0] == Include(0)
+    assert prism.num_vertices() == 0 and t.k_delta == 4 == len(lift_cover(t, set()))
