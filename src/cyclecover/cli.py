@@ -2,8 +2,8 @@
 
 Every invocation prints exactly one JSON document to stdout and exits 0 when
 the run completed (the answer lives inside the JSON), 2 on usage errors, 3 on
-parse errors, 4 when a resource guard tripped. Machine consumers should parse
-stdout and ignore stderr.
+parse errors, 4 when a resource guard tripped or memory ran out. Machine
+consumers should parse stdout and ignore stderr.
 """
 
 from __future__ import annotations
@@ -296,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     # subcommand first or not at all
     command = argv[0] if argv and argv[0] in COMMANDS else None
     warnings: list[str] = []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 50_000))  # the search's depth guard, for this run only
     try:
         args = parser.parse_args(argv)
         doc = args.handler(args, warnings)
@@ -307,11 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except DimacsParseError as exc:
         _emit(_doc(command, warnings + [str(exc)], error="parse"))
         return 3
-    except ResourceLimitError as exc:
-        _emit(_doc(command, warnings + [str(exc)], error="resource_limit"))
+    except (ResourceLimitError, MemoryError) as exc:
+        _emit(_doc(command, warnings + [str(exc) or "out of memory"], error="resource_limit"))
         return 4
-    finally:
-        sys.setrecursionlimit(limit)
     _emit(doc)
     return 0
 

@@ -1,6 +1,6 @@
 """Branch-and-reduce decision and minimization engines.
 
-One recursive node procedure serves both entry points. A node reduces to
+One node procedure serves both entry points. A node reduces to
 minimum degree 3 with no unconfined vertex near what its parent deleted
 (an unconfined vertex lies in some minimum cover, and dominating vertices
 are among them), hands forests to the linear solver, prunes when the LP
@@ -24,9 +24,10 @@ copy (the include branch; the exclude branch consumes the node's graph), and
 reductions that re-examine only the vertices around what the branch deleted.
 The graph and the reductions keep that record (``Graph.touched``) between
 themselves; the engine only clears it on its root copy, so that a handed-in
-graph is scanned in full once and solved as its unmarked twin. Two guards
-raise ResourceLimitError: the node budget and the interpreter's recursion
-limit.
+graph is scanned in full once and solved as its unmarked twin. A node is a
+generator that yields the children it needs solved, and ``_search`` runs the
+nodes on an explicit stack: no recursion, so the node budget is the search's
+one guard, and it raises ResourceLimitError.
 
 Every YES certificate is re-verified before it is returned. Along every
 branch the independent-cycle count tau never increases, and deleting a
@@ -38,8 +39,7 @@ branching the test suite runs.
 from __future__ import annotations
 
 import math
-import sys
-import time
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -68,7 +68,6 @@ class SearchStats:
     tree_leaf_count: int = 0
     k_exhausted_leaves: int = 0
     tau_root: int = 0
-    wallclock: float = 0.0
 
 
 @dataclass
@@ -79,9 +78,12 @@ class Verdict:
     stats: SearchStats
 
 
-def _node(
-    g: Graph, cap: int, depth: int, cfg: SolverConfig, stats: SearchStats, first_fit: bool
-) -> tuple[int, set[int]] | None:
+_Result = tuple[int, set[int]] | None
+# a node yields each child as (graph, cap, first_fit) and is sent its result
+_Node = Generator[tuple[Graph, int, bool], _Result, _Result]
+
+
+def _node(g: Graph, cap: int, first_fit: bool, cfg: SolverConfig, stats: SearchStats) -> _Node:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
@@ -91,7 +93,6 @@ def _node(
     if stats.nodes_expanded >= cfg.node_budget:
         raise ResourceLimitError(f"node budget {cfg.node_budget} exhausted")
     stats.nodes_expanded += 1
-    stats.max_depth = max(stats.max_depth, depth)
     if cap < 0 or (cap == 0 and g.num_edges()):
         stats.k_exhausted_leaves += 1
         return None
@@ -115,7 +116,7 @@ def _node(
         stats.k_exhausted_leaves += 1
         return None
     elif len(comps) > 1:
-        r = _solve_components(g, comps, cap, depth, cfg, stats)
+        r = yield from _solve_components(g, comps, cap, stats)
         if r is None:
             return None
         size, cover = r
@@ -125,7 +126,7 @@ def _node(
         g_inc = g.clone()
         for u in take:
             g_inc.remove_vertex(u)
-        inc = _node(g_inc, cap - len(take), depth + 1, cfg, stats, first_fit)
+        inc = yield g_inc, cap - len(take), first_fit
         if inc is not None:
             size, cover = len(take) + inc[0], inc[1].union(take)
             cap = size - 1  # the exclude branch has to beat it
@@ -133,7 +134,7 @@ def _node(
             nlist = sorted(g.neighbors(plan.vertex))
             for u in (*nlist, plan.vertex):
                 g.remove_vertex(u)
-            exc = _node(g, cap - len(nlist), depth + 1, cfg, stats, first_fit)
+            exc = yield g, cap - len(nlist), first_fit
             if exc is not None:
                 size, cover = len(nlist) + exc[0], exc[1].union(nlist)
             elif inc is None:
@@ -141,9 +142,7 @@ def _node(
     return trace.k_delta + size, lift_cover(trace, cover)
 
 
-def _solve_components(
-    g: Graph, comps: list[list[int]], cap: int, depth: int, cfg: SolverConfig, stats: SearchStats
-) -> tuple[int, set[int]] | None:
+def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchStats) -> _Node:
     """Components are independent: their minima add. Each is minimized under
     the budget left over after lower-bounding the others."""
     subs = [g.induced_subgraph(c) for c in comps]
@@ -154,7 +153,7 @@ def _solve_components(
     total = 0
     cover: set[int] = set()
     for i, sub in enumerate(subs):
-        r = _node(sub, cap - total - sum(bounds[i + 1 :]), depth + 1, cfg, stats, first_fit=False)
+        r = yield sub, cap - total - sum(bounds[i + 1 :]), False
         if r is None:
             return None
         total += r[0]
@@ -164,26 +163,26 @@ def _solve_components(
 
 def _search(
     g: Graph, cap: int, config: SolverConfig | None, first_fit: bool
-) -> tuple[tuple[int, set[int]] | None, SearchStats]:
-    """Run the search on a copy of g and certify what it finds.
-
-    A dive deeper than the interpreter's recursion limit becomes a
-    ResourceLimitError, as the node budget does.
-    """
+) -> tuple[_Result, SearchStats]:
+    """Run the search on a copy of g and certify what it finds. The stack holds
+    the open nodes, root first; the top one is sent its last child's result."""
     cfg = config or SolverConfig()
     stats = SearchStats()
-    start = time.perf_counter()
     stats.tau_root = circuit_rank(g)
     root = g.clone()
     root.touched = None  # g's marks vouch only for what a local scan reached
-    try:
-        result = _node(root, cap, 0, cfg, stats, first_fit)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"search depth {stats.max_depth} reached the interpreter's recursion limit "
-            f"{sys.getrecursionlimit()}"
-        ) from None
-    stats.wallclock = time.perf_counter() - start
+    stack = [_node(root, cap, first_fit, cfg, stats)]
+    result: _Result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_node(*child, cfg, stats))
+            stats.max_depth = max(stats.max_depth, len(stack) - 1)
+            result = None
     if result is not None:
         _check_certificate(g, result[1], result[0], cap)
     return result, stats

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cyclecover.cli
 from cyclecover.cli import COMMANDS, main
 from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
 from cyclecover.generators import generate, petersen_graph
@@ -331,14 +333,38 @@ def test_any_stdin_ends_in_one_json_document(tmp_path, data, argv):
     jsonschema.validate(json.loads(out), SCHEMA)
 
 
-def test_recursion_limit_restored_after_a_run():
+def test_cli_leaves_the_recursion_limit_alone():
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(4321)  # below the CLI's 50,000, whatever ran before
+    sys.setrecursionlimit(4321)
     try:
         assert run(["minimize", "-"], K4)[0] == 0
         assert sys.getrecursionlimit() == 4321
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_deep_runs_answer_under_a_low_recursion_limit():
+    cubic = emit_dimacs(generate("cubic", 2000, 1))  # the first dive reaches depth 217
+    cycle = emit_dimacs(generate("cycle", 20000, 1))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code, doc = run_doc(["solve", "-", "--k", "2000"], cubic)
+        assert code == 0 and doc["answer"] == "YES"
+        for argv in (["minimize", "-"], ["tau", "-"], ["kernelize", "-", "--k", "10000"]):
+            assert run_doc(argv, cycle)[0] == 0, argv
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_memory_error_is_a_resource_limit(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cyclecover.cli, "vc_minimum", exhausted)
+    code, doc = run_doc(["minimize", "-"], K4)
+    assert code == 4 and doc["error"] == "resource_limit" and doc["command"] == "minimize"
+    assert doc["warnings"] == ["out of memory"]
 
 
 def test_byte_identical_reruns():

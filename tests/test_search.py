@@ -181,7 +181,6 @@ def test_stats_are_populated():
     size, cover, stats = vc_minimum(g)
     assert stats.nodes_expanded >= 1
     assert stats.tau_root == 6
-    assert stats.wallclock >= 0.0
     report = check_node_budget(stats, size)
     assert report["k"] == 6
     assert report["envelope_1_15855"] == pytest.approx(1.15855**6)
@@ -286,17 +285,16 @@ def test_tau_invariants_hold_at_every_branching(checked_branchings):
     assert checked_branchings.count >= 1500
 
 
-@pytest.mark.parametrize("mode", ["decide", "minimize"])
-def test_recursion_limit_is_a_resource_limit(mode):
-    g = generate("cubic", 2000, 1)  # the first dive reaches depth 221
-    cfg = SolverConfig(node_budget=5000)
+def test_depth_is_bounded_by_the_node_budget_alone():
+    """A dive deeper than the interpreter's recursion limit still answers."""
+    g = generate("cubic", 2000, 1)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        with pytest.raises(ResourceLimitError, match="recursion limit"):
-            if mode == "decide":
-                vc_decide(g, g.num_vertices(), cfg)
-            else:
-                vc_minimum(g, cfg)
+        verdict = vc_decide(g, g.num_vertices())
+        assert verdict.answer == "YES" and verdict.stats.max_depth == 217
+        assert len(verdict.cover) <= g.num_vertices() and is_vertex_cover(g, verdict.cover)
+        with pytest.raises(ResourceLimitError, match="node budget"):
+            vc_minimum(g, SolverConfig(node_budget=5000))
     finally:
         sys.setrecursionlimit(old)
