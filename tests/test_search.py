@@ -285,16 +285,20 @@ def test_tau_invariants_hold_at_every_branching(checked_branchings):
     assert checked_branchings.count >= 1500
 
 
-def test_depth_is_bounded_by_the_node_budget_alone():
-    """A dive deeper than the interpreter's recursion limit still answers."""
+@pytest.mark.parametrize("mode", ["decide", "minimize"])
+def test_depth_is_bounded_by_the_node_budget_alone(mode):
+    """A dive deeper than the interpreter's recursion limit still answers, and
+    only the node budget stops a search that runs long."""
     g = generate("cubic", 2000, 1)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        verdict = vc_decide(g, g.num_vertices())
-        assert verdict.answer == "YES" and verdict.stats.max_depth == 217
-        assert len(verdict.cover) <= g.num_vertices() and is_vertex_cover(g, verdict.cover)
-        with pytest.raises(ResourceLimitError, match="node budget"):
-            vc_minimum(g, SolverConfig(node_budget=5000))
+        if mode == "decide":
+            verdict = vc_decide(g, g.num_vertices())
+            assert verdict.answer == "YES" and verdict.stats.max_depth == 217
+            assert len(verdict.cover) <= g.num_vertices() and is_vertex_cover(g, verdict.cover)
+        else:
+            with pytest.raises(ResourceLimitError, match="node budget"):
+                vc_minimum(g, SolverConfig(node_budget=5000))
     finally:
         sys.setrecursionlimit(old)
