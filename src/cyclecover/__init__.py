@@ -28,7 +28,6 @@ from .oracle import (
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .search import (
     SearchStats,
-    SolverConfig,
     Verdict,
     check_node_budget,
     vc_decide,
@@ -53,7 +52,6 @@ __all__ = [
     "ResourceLimitError",
     "RuleTag",
     "SearchStats",
-    "SolverConfig",
     "Verdict",
     "branching_number",
     "case_catalog",

@@ -24,8 +24,8 @@ from .reductions import ReductionTrace
 from .search import (
     ENVELOPE_BASE_INTERLEAVED,
     ENVELOPE_BASE_PLAIN,
+    NODE_BUDGET,
     SearchStats,
-    SolverConfig,
     check_node_budget,
     vc_decide,
     vc_minimum,
@@ -47,10 +47,6 @@ def _read_input(path: str) -> str:
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise DimacsParseError(f"input is not ASCII text: byte 0x{bad:02x}") from None
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(struction=args.struction, node_budget=args.node_budget)
 
 
 def _stats_doc(stats: SearchStats, k: int) -> dict:
@@ -82,7 +78,7 @@ def _doc(command: str | None, warnings: list[str], **fields) -> dict:
 
 def _cmd_solve(args, warnings):
     g = parse_dimacs(_read_input(args.graph), warnings)
-    verdict = vc_decide(g, args.k, _solver_config(args))
+    verdict = vc_decide(g, args.k, args.node_budget)
     cover = sorted(verdict.cover) if verdict.cover is not None else None
     return _doc(
         "solve",
@@ -97,7 +93,7 @@ def _cmd_solve(args, warnings):
 
 def _cmd_minimize(args, warnings):
     g = parse_dimacs(_read_input(args.graph), warnings)
-    size, cover, stats = vc_minimum(g, _solver_config(args))
+    size, cover, stats = vc_minimum(g, args.node_budget)
     return _doc(
         "minimize",
         warnings,
@@ -242,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--struction", action="store_true", help="enable the struction rule")
-    solver_flags.add_argument("--node-budget", type=non_negative_int, default=10**8, metavar="N")
+    solver_flags.add_argument("--node-budget", type=non_negative_int, default=NODE_BUDGET, metavar="N")
 
     p = sub.add_parser("solve", parents=[solver_flags], help="decide whether a cover of size k exists")
     p.add_argument("graph", help="DIMACS file, or - for stdin")

@@ -3,8 +3,9 @@
 Every rule mutates the graph, appends trace entries, and accounts its cover
 cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
 size s + k_delta for the original. ``reduce_fixpoint`` runs the degree rules
-(isolated, degree-1, degree-2 folding), includes unconfined vertices, a rule
-that covers domination, and optionally the struction.
+(isolated, degree-1, degree-2 folding) and includes unconfined vertices, a rule
+that covers domination. The struction is a library rule that the search does
+not run; ``lift_cover`` still undoes it.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
@@ -218,8 +219,9 @@ def struction(g: Graph, u: int, trace: ReductionTrace) -> bool:
     return True
 
 
-def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False) -> None:
-    """Run all enabled rules until none applies.
+def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
+    """Run the degree rules and the unconfined-vertex rule until neither
+    applies.
 
     The degree rules fire exactly as repeated full scans would fire them,
     lowest id first, but only vertices that may newly match a rule are
@@ -229,8 +231,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
     members count as changed; None means all do. Whether a vertex is
     unconfined depends on more than its neighbors, so a change can also free
     a vertex the local scan does not re-examine; missing it costs search
-    nodes, never correctness. The struction scan is always full. Always
-    leaves ``g.touched`` empty.
+    nodes, never correctness. Always leaves ``g.touched`` empty.
     """
     adj = g.adjacency()
     changed = g.touched  # None: every vertex may match a rule
@@ -249,11 +250,10 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, use_struction: bool = False
                     unchecked |= nbrs
         g.touched = set()
         v = _first_unconfined(adj, unchecked)
-        if v is not None:
-            trace.include(v)
-            g.remove_vertex(v)
-        elif not (use_struction and _any_struction(g, trace)):
+        if v is None:
             return
+        trace.include(v)
+        g.remove_vertex(v)
         changed = g.touched
 
 
@@ -304,10 +304,3 @@ def _unconfined(adj: dict[int, set[int]], v: int) -> bool:
         once = once - nw
         once |= nw - ns
         ns = ns | nw
-
-
-def _any_struction(g: Graph, trace: ReductionTrace) -> bool:
-    for u in sorted(g.vertices()):
-        if g.degree(u) == 3 and struction(g, u, trace):
-            return True
-    return False

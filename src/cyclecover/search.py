@@ -53,12 +53,7 @@ from .treecover import min_vc_forest
 
 ENVELOPE_BASE_PLAIN = 1.15855
 ENVELOPE_BASE_INTERLEAVED = 1.1504
-
-
-@dataclass
-class SolverConfig:
-    struction: bool = False
-    node_budget: int = 10**8
+NODE_BUDGET = 10**8
 
 
 @dataclass
@@ -83,15 +78,15 @@ _Result = tuple[int, set[int]] | None
 _Node = Generator[tuple[Graph, int, bool], _Result, _Result]
 
 
-def _node(g: Graph, cap: int, first_fit: bool, cfg: SolverConfig, stats: SearchStats) -> _Node:
+def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) -> _Node:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
     mode returns the exact minimum when it is within cap. The result refers to
     g as handed in; g itself is consumed.
     """
-    if stats.nodes_expanded >= cfg.node_budget:
-        raise ResourceLimitError(f"node budget {cfg.node_budget} exhausted")
+    if stats.nodes_expanded >= budget:
+        raise ResourceLimitError(f"node budget {budget} exhausted")
     stats.nodes_expanded += 1
     if cap < 0 or (cap == 0 and g.num_edges()):
         stats.k_exhausted_leaves += 1
@@ -100,7 +95,7 @@ def _node(g: Graph, cap: int, first_fit: bool, cfg: SolverConfig, stats: SearchS
         return 0, set()
 
     trace = ReductionTrace()
-    reduce_fixpoint(g, trace, use_struction=cfg.struction)
+    reduce_fixpoint(g, trace)
     cap -= trace.k_delta
     if cap < 0:
         stats.k_exhausted_leaves += 1
@@ -161,17 +156,14 @@ def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchS
     return total, cover
 
 
-def _search(
-    g: Graph, cap: int, config: SolverConfig | None, first_fit: bool
-) -> tuple[_Result, SearchStats]:
+def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, SearchStats]:
     """Run the search on a copy of g and certify what it finds. The stack holds
     the open nodes, root first; the top one is sent its last child's result."""
-    cfg = config or SolverConfig()
     stats = SearchStats()
     stats.tau_root = circuit_rank(g)
     root = g.clone()
     root.touched = None  # g's marks vouch only for what a local scan reached
-    stack = [_node(root, cap, first_fit, cfg, stats)]
+    stack = [_node(root, cap, first_fit, budget, stats)]
     result: _Result = None
     while stack:
         try:
@@ -180,7 +172,7 @@ def _search(
             stack.pop()
             result = done.value
         else:
-            stack.append(_node(*child, cfg, stats))
+            stack.append(_node(*child, budget, stats))
             stats.max_depth = max(stats.max_depth, len(stack) - 1)
             result = None
     if result is not None:
@@ -188,19 +180,19 @@ def _search(
     return result, stats
 
 
-def vc_decide(g: Graph, k: int, config: SolverConfig | None = None) -> Verdict:
+def vc_decide(g: Graph, k: int, node_budget: int = NODE_BUDGET) -> Verdict:
     """Does g have a vertex cover of size at most k? Certificates on YES."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    result, stats = _search(g, k, config, first_fit=True)
+    result, stats = _search(g, k, node_budget, first_fit=True)
     if result is None:
         return Verdict(answer="NO", cover=None, k=k, stats=stats)
     return Verdict(answer="YES", cover=result[1], k=k, stats=stats)
 
 
-def vc_minimum(g: Graph, config: SolverConfig | None = None) -> tuple[int, set[int], SearchStats]:
+def vc_minimum(g: Graph, node_budget: int = NODE_BUDGET) -> tuple[int, set[int], SearchStats]:
     """Exact minimum vertex cover with certificate."""
-    result, stats = _search(g, g.num_vertices(), config, first_fit=False)
+    result, stats = _search(g, g.num_vertices(), node_budget, first_fit=False)
     if result is None:
         raise AssertionError("minimization found no cover within n, which is impossible")
     return result[0], result[1], stats

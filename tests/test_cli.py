@@ -3,6 +3,7 @@ import inspect
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 import cyclecover.cli
 from cyclecover.cli import COMMANDS, main
-from cyclecover.dimacs import MAX_VERTICES, emit_dimacs
+from cyclecover.dimacs import MAX_VERTICES, emit_dimacs, parse_dimacs
 from cyclecover.generators import generate, petersen_graph
-from cyclecover.search import vc_decide
+from cyclecover.oracle import is_vertex_cover
+from cyclecover.search import vc_decide, vc_minimum
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema" / "result.json").read_text())
 
@@ -249,7 +251,7 @@ def test_threads_flag_removed():
     assert code == 2 and doc["error"] == "usage"
 
 
-@pytest.mark.parametrize("flag", [["--lp-bound", "on"], ["--interleave-depth", "0"]])
+@pytest.mark.parametrize("flag", [["--lp-bound", "on"], ["--interleave-depth", "0"], ["--struction"]])
 def test_lp_and_interleave_flags_removed(flag):
     code, doc = run_doc(["solve", "-", "--k", "3", *flag], K4)
     assert code == 2 and doc["error"] == "usage"
@@ -331,6 +333,35 @@ def test_any_stdin_ends_in_one_json_document(tmp_path, data, argv):
     code, out = run(argv, data)
     assert code in (0, 2, 3, 4)
     jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def test_budgeted_runs_on_branching_graphs_end_in_one_json_document():
+    """Cubic n=60 graphs with a few random edge edits branch for a handful of
+    nodes; under a budget of 8 nodes some runs answer and some trip it."""
+    codes = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        _, doc = run_doc(["gen", "--model", "cubic", "--n", "60", "--seed", str(seed)])
+        g = parse_dimacs(doc["dimacs"])
+        for _ in range(rng.randrange(1, 5)):
+            u, v = rng.sample(sorted(g.vertices()), 2)
+            if g.has_edge(u, v):
+                g.remove_edge(u, v)
+            else:
+                g.add_edge(u, v)
+        k = rng.randrange(30, 35)
+        for argv in (["minimize", "-"], ["solve", "-", "--k", str(k)]):
+            code, doc = run_doc([*argv, "--node-budget", "8"], emit_dimacs(g))
+            codes.append(code)
+            if code == 4:
+                assert doc["error"] == "resource_limit" and doc["answer"] is None, (seed, argv)
+            elif argv[0] == "minimize":
+                assert code == 0 and doc["size"] == vc_minimum(g)[0], seed
+                assert is_vertex_cover(g, doc["cover"]), seed
+            else:
+                assert code == 0 and doc["answer"] == vc_decide(g, k).answer, (seed, k)
+                assert doc["cover"] is None or is_vertex_cover(g, doc["cover"]), (seed, k)
+    assert set(codes) == {0, 4}, codes
 
 
 def test_cli_leaves_the_recursion_limit_alone():

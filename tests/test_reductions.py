@@ -117,18 +117,17 @@ def test_fixpoint_reaches_min_degree_three():
         assert all(g.degree(v) >= 3 for v in g.vertices()), seed
 
 
-@pytest.mark.parametrize("use_struction", [False, True])
-def test_fixpoint_preserves_optimum(use_struction):
+def test_fixpoint_preserves_optimum():
     for seed in range(120):
         g = mixed_instance(seed, max_n=14)
         opt, _ = min_vc_bruteforce(g)
         orig = g.clone()
         t = ReductionTrace()
-        reduce_fixpoint(g, t, use_struction=use_struction)
+        reduce_fixpoint(g, t)
         if g.num_vertices() > 26:
             continue
         size, lifted = residual_optimum(g, t)
-        assert size == opt, (seed, use_struction)
+        assert size == opt, seed
         assert is_vertex_cover(orig, lifted)
         assert len(lifted) == size
 
@@ -202,7 +201,7 @@ def adjacency_snapshot(g):
     return {x: set(g.neighbors(x)) for x in g.vertices()}
 
 
-def reduce_by_rescans(g, trace, use_struction, since=None):
+def reduce_by_rescans(g, trace, since=None):
     """Reference fixpoint without ``Graph.touched``. The degree rules rescan
     the whole graph after every firing. The unconfined rule examines, lowest
     id first, the vertices not yet examined among those whose neighborhood
@@ -225,15 +224,10 @@ def reduce_by_rescans(g, trace, use_struction, since=None):
             if g.has_vertex(v) and is_unconfined(g, v):
                 found = v
                 break
-        if found is not None:
-            trace.include(found)
-            g.remove_vertex(found)
-            continue
-        if use_struction and any(
-            g.degree(u) == 3 and struction(g, u, trace) for u in sorted(g.vertices())
-        ):
-            continue
-        return
+        if found is None:
+            return
+        trace.include(found)
+        g.remove_vertex(found)
 
 
 def reducible_instance(seed):
@@ -252,16 +246,15 @@ def reducible_instance(seed):
     return g
 
 
-@pytest.mark.parametrize("use_struction", [False, True])
-def test_dirty_fixpoint_matches_full_rescans(use_struction):
+def test_dirty_fixpoint_matches_full_rescans():
     rng = random.Random(17)
     fired = 0
     for seed in range(150):
         g = reducible_instance(seed)
         ref = g.clone()
         t, t_ref = ReductionTrace(), ReductionTrace()
-        reduce_fixpoint(g, t, use_struction)
-        reduce_by_rescans(ref, t_ref, use_struction)
+        reduce_fixpoint(g, t)
+        reduce_by_rescans(ref, t_ref)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert g.edge_set() == ref.edge_set() and g.touched == set(), seed
 
@@ -274,8 +267,8 @@ def test_dirty_fixpoint_matches_full_rescans(use_struction):
             g.remove_vertex(v)
         ref = g.clone()
         t, t_ref = ReductionTrace(), ReductionTrace()
-        reduce_fixpoint(g, t, use_struction)
-        reduce_by_rescans(ref, t_ref, use_struction, since)
+        reduce_fixpoint(g, t)
+        reduce_by_rescans(ref, t_ref, since)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert g.edge_set() == ref.edge_set() and sorted(g.vertices()) == sorted(ref.vertices()), seed
         assert g.touched == set()

@@ -10,12 +10,7 @@ from cyclecover.generators import complete_graph, cycle_graph, generate, peterse
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover, reduce_fixpoint
-from cyclecover.search import (
-    SolverConfig,
-    check_node_budget,
-    vc_decide,
-    vc_minimum,
-)
+from cyclecover.search import check_node_budget, vc_decide, vc_minimum
 
 from conftest import mixed_instance
 
@@ -56,14 +51,12 @@ def test_k_zero():
     assert vc_decide(empty, 0).cover == set()
 
 
-@pytest.mark.parametrize("struction", [False, True])
-def test_minimum_matches_oracle(struction, checked_branchings):
-    cfg = SolverConfig(struction=struction)
+def test_minimum_matches_oracle(checked_branchings):
     for seed in range(150):
         g = mixed_instance(seed, max_n=16)
         opt, _ = min_vc_bruteforce(g)
-        size, cover, _ = vc_minimum(g, cfg)
-        assert size == opt, (seed, struction)
+        size, cover, _ = vc_minimum(g)
+        assert size == opt, seed
         assert is_vertex_cover(g, cover)
         assert len(cover) == size
     assert checked_branchings.count > 0
@@ -96,25 +89,13 @@ def test_disconnected_components_add_up():
         assert is_vertex_cover(both, cover)
 
 
-def test_config_variants_agree():
-    base = [mixed_instance(s, max_n=14) for s in range(25)]
-    answers = [vc_minimum(g)[0] for g in base]
-    for cfg in (SolverConfig(), SolverConfig(struction=True)):
-        for g, want in zip(base, answers):
-            assert vc_minimum(g, cfg)[0] == want
-            assert vc_decide(g, want, cfg).answer == "YES"
-            if want:
-                assert vc_decide(g, want - 1, cfg).answer == "NO"
-
-
 def test_node_budget_raises():
     g = generate("cubic", 30, 3)
     with pytest.raises(ResourceLimitError):
-        vc_minimum(g, SolverConfig(node_budget=2))
+        vc_minimum(g, node_budget=2)
 
 
-@pytest.mark.parametrize("use_struction", [False, True])
-def test_graph_reduced_in_place_keeps_its_answers(use_struction):
+def test_graph_reduced_in_place_keeps_its_answers():
     """A graph reduced in place enters the search with an empty mark set, and
     one that lost vertices since has those losses marked. The search drops
     the marks of its copy, so both are scanned in full at the root and solved
@@ -127,7 +108,7 @@ def test_graph_reduced_in_place_keeps_its_answers(use_struction):
         opt = vc_minimum(g)[0]
         h = g.clone()
         trace = ReductionTrace()
-        reduce_fixpoint(h, trace, use_struction)
+        reduce_fixpoint(h, trace)
         assert h.touched == set()
         size, cover, _ = vc_minimum(h)
         lifted = lift_cover(trace, cover)
@@ -251,15 +232,16 @@ def search_fingerprint(answer, cover, stats):
     )
 
 
-# sha256 over the fingerprints of vc_minimum (default and struction) and
-# vc_decide at the optimum and one below, recorded when the include branch
-# began to take the branch vertex's mirrors, re-recorded with the same trees
-# when the fingerprint gained the prune count, and re-recorded when the
-# unconfined-vertex rule replaced domination and the corpus gained two cubic
-# and two max-degree-5 graphs. A change that keeps every search tree, prune
-# and certificate keeps the digest; a change that means to alter the search
+# sha256 over the fingerprints of vc_minimum and vc_decide at the optimum and
+# one below, recorded when the include branch began to take the branch
+# vertex's mirrors, re-recorded with the same trees when the fingerprint
+# gained the prune count, re-recorded when the unconfined-vertex rule
+# replaced domination and the corpus gained two cubic and two max-degree-5
+# graphs, and re-recorded without its struction rows when the search stopped
+# offering the struction. A change that keeps every search tree, prune and
+# certificate keeps the digest; a change that means to alter the search
 # re-pins it and says why.
-SAME_TREE_DIGEST = "d649863150ede27325809fad2a08d0b354f59308b5052434aa6f5ac13ce63743"
+SAME_TREE_DIGEST = "891e7de0a71fb904bc1db64dcdd897d4ed64aa8ec9c8db1793fb3341858224a4"
 
 
 def test_search_trees_and_certificates_pinned():
@@ -267,7 +249,6 @@ def test_search_trees_and_certificates_pinned():
     for g in same_tree_corpus():
         size, cover, stats = vc_minimum(g)
         rows = [search_fingerprint(size, cover, stats)]
-        rows.append(search_fingerprint(*vc_minimum(g, SolverConfig(struction=True))))
         for k in (size, size - 1):
             if k >= 0:
                 verdict = vc_decide(g, k)
@@ -279,7 +260,7 @@ def test_search_trees_and_certificates_pinned():
 def test_tau_invariants_hold_at_every_branching(checked_branchings):
     for g in same_tree_corpus():
         size = vc_minimum(g)[0]
-        vc_minimum(g, SolverConfig(struction=True))
+        vc_decide(g, size)
         if size > 0:
             vc_decide(g, size - 1)
     assert checked_branchings.count >= 1500
@@ -299,6 +280,6 @@ def test_depth_is_bounded_by_the_node_budget_alone(mode):
             assert len(verdict.cover) <= g.num_vertices() and is_vertex_cover(g, verdict.cover)
         else:
             with pytest.raises(ResourceLimitError, match="node budget"):
-                vc_minimum(g, SolverConfig(node_budget=5000))
+                vc_minimum(g, node_budget=5000)
     finally:
         sys.setrecursionlimit(old)
