@@ -17,8 +17,9 @@ class Graph:
     certificates can refer to deleted vertices without ambiguity.
 
     ``touched`` is None, or a set to which every mutation adds the vertices
-    whose neighborhood it changed; a new vertex counts as changed, and ids
-    deleted later stay in the set. A set vouches that the graph had just
+    whose neighborhood it changed; a new vertex counts as changed, a
+    ``fold`` marks what deleting u and moving s's edges onto r would, and
+    ids deleted later stay in the set. A set vouches that the graph had just
     left ``reduce_fixpoint`` when the set began, so that only the marked
     vertices and their neighbors need another look: no vertex had degree
     below 3, and none was unconfined where the rule's local scan looks. An
@@ -101,35 +102,39 @@ class Graph:
             self.touched.update(nbrs)
         return nbrs
 
-    def contract_pair(self, keep: int, absorb: int) -> set[int]:
-        """Re-home absorb's edges onto keep, then delete absorb.
+    def fold(self, u: int) -> set[int]:
+        """Delete the degree-2 vertex u and merge its lower neighbor s into
+        the other, r, which must not be adjacent to s.
 
-        Parallel edges collapse; a keep-absorb edge becomes a self-loop and is
-        dropped. Returns the common neighbors, the vertices whose degree fell.
-        ``touched`` gains absorb and its neighbors, and keep when it gained
-        an edge, as the equivalent edge-by-edge moves would record.
+        Parallel edges collapse. Returns the common neighbors of s and r, the
+        vertices whose degree fell. ``touched`` gains r and s's neighbors but
+        u, as deleting u and moving s's edges onto r one by one would.
         """
-        if keep == absorb:
-            raise ValueError("contract_pair needs two distinct vertices")
         adj = self._adj
-        kept = self._require(keep)
-        nbrs = self._require(absorb)
-        common = nbrs & kept
-        fresh = nbrs - common
-        fresh.discard(keep)
-        for w in nbrs:
-            adj[w].discard(absorb)
-        for w in fresh:
-            adj[w].add(keep)
-        kept |= fresh
-        self._m -= len(nbrs) - len(fresh)
-        del adj[absorb]
-        self._retired.add(absorb)
-        if self.touched is not None and nbrs:
-            self.touched.update(nbrs)
-            self.touched.add(absorb)
-            if fresh:
-                self.touched.add(keep)
+        try:
+            s, r = adj[u]
+        except (KeyError, ValueError):
+            raise ValueError(f"fold needs a live degree-2 vertex, got {u}") from None
+        if s > r:
+            s, r = r, s
+        absorbed = adj[s]
+        if r in absorbed:
+            raise ValueError(f"fold needs non-adjacent neighbors, but {s} and {r} are adjacent")
+        del adj[u], adj[s]
+        self._retired.update((u, s))
+        absorbed.discard(u)
+        kept = adj[r]
+        kept.discard(u)
+        common = absorbed & kept
+        for w in absorbed:
+            moved = adj[w]
+            moved.discard(s)
+            moved.add(r)
+        kept |= absorbed
+        self._m -= 2 + len(common)
+        if self.touched is not None:
+            self.touched |= absorbed
+            self.touched.add(r)
         return common
 
     # queries
@@ -197,12 +202,32 @@ class Graph:
             comps.append(comp)
         return comps
 
+    def num_components(self) -> int:
+        """The number of components, counted without listing them."""
+        adj = self._adj
+        seen: set[int] = set()
+        count = 0
+        for s in adj:
+            if s in seen:
+                continue
+            count += 1
+            seen.add(s)
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == len(adj):
+                break
+        return count
+
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        return self.num_components() <= 1
 
     def is_forest(self) -> bool:
         # acyclic iff m = n - c
-        return self._m == len(self._adj) - len(self.connected_components())
+        return self._m == len(self._adj) - self.num_components()
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = set(keep)

@@ -20,10 +20,11 @@ CYCLE_ENUM_LIMIT = 100_000
 
 def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
     cset = set(cover)
+    adj = g.adjacency()
     for v in cset:
-        if not g.has_vertex(v):
+        if v not in adj:
             raise ValueError(f"cover vertex {v} is not in the graph")
-    return all(u in cset or v in cset for u, v in g.edges())
+    return all(v in cset or nbrs <= cset for v, nbrs in adj.items())
 
 
 def min_vc_bruteforce(g: Graph) -> tuple[int, set[int]]:

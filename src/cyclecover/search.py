@@ -19,15 +19,15 @@ ceil(n/2) could exceed its budget. The LP bound after reductions is at least
 as strong as the Nemhauser-Trotter kernel's infeasibility test before them
 (every rule keeps LP(G) <= LP(G') + cost), so the search runs no NT kernel.
 
-A node pays only for what decides its answer: one component scan, one graph
-copy (the include branch; the exclude branch consumes the node's graph), and
-reductions that re-examine only the vertices around what the branch deleted.
-The graph and the reductions keep that record (``Graph.touched``) between
-themselves; the engine only clears it on its root copy, so that a handed-in
-graph is scanned in full once and solved as its unmarked twin. A node is a
-generator that yields the children it needs solved, and ``_search`` runs the
-nodes on an explicit stack: no recursion, so the node budget is the search's
-one guard, and it raises ResourceLimitError.
+A node pays only for what decides its answer: one connectivity test (component
+lists only when the graph splits), one graph copy (the include branch; the
+exclude branch consumes the node's graph), and reductions that re-examine only
+the vertices around what the branch deleted. The graph and the reductions keep
+that record (``Graph.touched``) between themselves; the engine only clears it
+on its root copy, so that a handed-in graph is scanned in full once and solved
+as its unmarked twin. A node is a generator that yields the children it needs
+solved, and ``_search`` runs the nodes on an explicit stack: no recursion, so
+the node budget is the search's one guard, and it raises ResourceLimitError.
 
 Every YES certificate is re-verified before it is returned. Along every
 branch the independent-cycle count tau never increases, and deleting a
@@ -100,18 +100,14 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
     if cap < 0:
         stats.k_exhausted_leaves += 1
         return None
-    comps = g.connected_components()
-    if g.num_edges() == g.num_vertices() - len(comps):  # a forest
+    if g.num_edges() == 0:  # the only forest the reductions leave
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-        if size > cap:
-            stats.k_exhausted_leaves += 1
-            return None
     elif (g.num_vertices() + 1) // 2 > cap and lp_lower_bound(g) > cap:
         stats.k_exhausted_leaves += 1
         return None
-    elif len(comps) > 1:
-        r = yield from _solve_components(g, comps, cap, stats)
+    elif not g.is_connected():
+        r = yield from _solve_components(g, g.connected_components(), cap, stats)
         if r is None:
             return None
         size, cover = r

@@ -74,7 +74,7 @@ def strip_lines(g: Graph) -> Graph:
 
 
 def circuit_rank(g: Graph) -> int:
-    return g.num_edges() - g.num_vertices() + len(g.connected_components())
+    return g.num_edges() - g.num_vertices() + g.num_components()
 
 
 def tau(g: Graph) -> int:

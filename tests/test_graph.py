@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cyclecover.graph import Graph
+from cyclecover.reductions import DeleteIsolated, Include, ReductionTrace, fold_degree2
 
 from conftest import gnp
 
@@ -43,47 +44,79 @@ def test_remove_vertex_cleans_edges():
     g.check_invariants()
 
 
-def test_contract_pair_rehomes_and_drops_parallels():
-    # absorb 1 into 0: edge 1-2 moves to 0-2, edge 0-2 already there stays single
-    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (1, 3)])
-    assert g.contract_pair(keep=0, absorb=1) == {2}  # the common neighbors
-    assert not g.has_vertex(1)
-    assert g.has_edge(0, 2) and g.has_edge(0, 3)
+def test_fold_rehomes_and_drops_parallels():
+    # fold 9 (neighbors 0 and 1): edge 0-2 collapses onto 1-2, edge 0-3 moves to 1-3
+    g = Graph.from_edges([(9, 0), (9, 1), (1, 2), (0, 2), (0, 3)])
+    assert g.fold(9) == {2}  # the common neighbors
+    assert not g.has_vertex(9) and not g.has_vertex(0)
+    assert g.has_edge(1, 2) and g.has_edge(1, 3)
     assert g.num_edges() == 2
     g.check_invariants()
+    for dead in (0, 9):
+        with pytest.raises(ValueError, match="was deleted"):
+            g.add_vertex(dead)
 
 
-def test_contract_pair_drops_mutual_edge():
-    g = Graph.from_edges([(0, 1)])
-    assert g.contract_pair(keep=0, absorb=1) == set()
-    assert g.num_edges() == 0 and g.has_vertex(0)
+def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
+    g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
+    g.touched = set()
+    with pytest.raises(ValueError, match="adjacent"):
+        g.fold(0)
+    for bad in (2, 3, 7):  # degree 3, degree 1, not a vertex
+        with pytest.raises(ValueError, match="live degree-2"):
+            g.fold(bad)
+    assert g.edge_set() == Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]).edge_set()
+    assert g.touched == set()
+    trace = ReductionTrace()
+    assert fold_degree2(g, 0, trace) == {3}
+    assert trace.entries == [Include(1), Include(2), DeleteIsolated(0)] and trace.k_delta == 2
+    assert sorted(g.vertices()) == [3] and g.num_edges() == 0
 
 
-def test_contract_pair_matches_edge_moves():
+def contract_by_edge_moves(g: Graph, keep: int, absorb: int) -> None:
+    """Re-home absorb's edges onto keep one at a time, then delete absorb."""
+    for w in sorted(g.neighbors(absorb)):
+        g.remove_edge(absorb, w)
+        if w != keep:
+            g.add_edge(keep, w)
+    g.remove_vertex(absorb)
+
+
+def test_fold_matches_two_step_reference():
     rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randrange(2, 9)
-        g = Graph.from_edges(
+    folds = 0
+    for _ in range(300):
+        n = rng.randrange(3, 10)
+        base = Graph.from_edges(
             [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4],
             vertices=range(n),
         )
-        keep, absorb = rng.sample(range(n), 2)
-        common = g.neighbors(keep) & g.neighbors(absorb)
-        ref = g.clone()
-        for w in sorted(ref.neighbors(absorb)):
-            ref.remove_edge(absorb, w)
-            if w != keep:
-                ref.add_edge(keep, w)
-        ref.remove_vertex(absorb)
-        assert g.contract_pair(keep, absorb) == common
-        assert g.edge_set() == ref.edge_set() and g.num_edges() == ref.num_edges()
-        g.check_invariants()
+        for u in range(n):
+            if base.degree(u) != 2:
+                continue
+            s, r = sorted(base.neighbors(u))
+            if base.has_edge(s, r):
+                continue
+            g, ref = base.clone(), base.clone()
+            g.touched, ref.touched = set(), set()
+            ref.remove_vertex(u)
+            common = ref.neighbors(s) & ref.neighbors(r)
+            contract_by_edge_moves(ref, r, s)
+            assert g.fold(u) == common
+            assert set(g.vertices()) == set(ref.vertices())
+            assert g.edge_set() == ref.edge_set() and g.num_edges() == ref.num_edges()
+            live = set(g.vertices())
+            assert g.touched & live == ref.touched & live == {r} | (base.neighbors(s) - {u})
+            g.check_invariants()
+            folds += 1
+    assert folds >= 300
 
 
 def test_components_ordered_by_minimum_member():
     g = Graph.from_edges([(7, 8), (0, 1), (3, 4)])
     comps = g.connected_components()
     assert [min(c) for c in comps] == [0, 3, 7]
+    assert g.num_components() == 3 and Graph().num_components() == 0
     assert all(c == sorted(c) for c in comps)
 
 
@@ -125,21 +158,20 @@ def test_touched_collects_changed_neighborhoods():
     assert g.touched == {0, 2}
     g.add_vertex(9)
     g.add_edge(3, 8)
-    g.contract_pair(4, 3)
-    assert g.touched == {0, 2, 3, 4, 8, 9}
-    # absorb and its neighbors count as changed, keep only if it gained an edge
-    g.add_edge(5, 2)
-    g.add_edge(5, 8)
+    assert g.touched == {0, 2, 3, 8, 9}
+    # a fold marks r and every neighbor of s but u, whether or not r gains an edge
+    g.add_edge(2, 5)
+    g.add_edge(4, 5)
+    g.remove_edge(3, 8)
     g.touched = set()
-    assert g.contract_pair(4, 5) == {2, 8}
-    assert g.touched == {2, 5, 8}
-    g.add_edge(6, 0)
+    assert g.fold(3) == {5}  # s = 2, r = 4: edge 2-5 collapses onto 4-5
+    assert g.touched == {4, 5}
+    g.add_edge(7, 5)
+    g.add_edge(7, 9)
+    g.add_edge(9, 8)
     g.touched = set()
-    assert g.contract_pair(4, 6) == set()
-    assert g.touched == {0, 4, 6}
-    g.touched = set()
-    g.contract_pair(4, 9)  # an isolated vertex changes no neighborhood
-    assert g.touched == set()
+    assert g.fold(7) == set()  # s = 5, r = 9: edge 5-4 moves to 9-4
+    assert g.touched == {4, 9} and g.has_edge(9, 4)
     # copies carry the marks: a set is copied, None stays None
     g.touched = {0, 4}
     h = g.clone()
@@ -148,7 +180,7 @@ def test_touched_collects_changed_neighborhoods():
     assert g.touched == {0, 4}
     g.touched = None
     assert g.clone().touched is None
-    g.add_edge(0, 2)
+    g.add_edge(0, 4)
     assert g.touched is None
 
 
@@ -180,8 +212,10 @@ def test_invariants_hold_under_random_mutation():
                 g.remove_edge(u, v)
         elif op == 2:
             g.remove_vertex(rng.choice(verts))
-        elif len(verts) >= 2:
-            u, v = rng.sample(verts, 2)
-            g.contract_pair(keep=u, absorb=v)
+        else:
+            foldable = [u for u in verts if g.degree(u) == 2 and not g.has_edge(*g.neighbors(u))]
+            if foldable:
+                g.fold(rng.choice(foldable))
         g.check_invariants()
+        assert g.num_components() == len(g.connected_components())
     assert g.num_vertices() >= 0

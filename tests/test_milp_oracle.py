@@ -2,8 +2,10 @@
 
 The solver is compared with HiGHS (``scipy.optimize.milp``) on graphs of
 60-120 vertices, where the search branches, in minimization and in both
-decision outcomes. scipy is a test-only dependency: without it the module is
-skipped, and the package itself stays standard-library only.
+decision outcomes. The slow cases reach 150-200 vertices, where the search
+expands hundreds to thousands of nodes; ``pytest -m slow`` runs them. scipy is
+a test-only dependency: without it the module is skipped, and the package
+itself stays standard-library only.
 """
 
 import random
@@ -46,7 +48,10 @@ def instance(model: str, n: int, seed: int) -> Graph:
 @pytest.mark.parametrize(
     "model, n, seed",
     [("cubic", 60, 4), ("cubic", 80, 5), ("cubic", 100, 6), ("cubic", 120, 7),
-     ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7), ("maxdeg5", 120, 8)],
+     ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7), ("maxdeg5", 120, 8),
+     # maxdeg5 n=200 is left out: HiGHS alone takes about 30 s on it
+     *(pytest.param(*case, marks=pytest.mark.slow)
+       for case in [("cubic", 160, 1), ("cubic", 200, 3), ("maxdeg5", 150, 1)])],
 )
 def test_solver_agrees_with_milp(model, n, seed):
     g = instance(model, n, seed)

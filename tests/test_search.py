@@ -210,6 +210,24 @@ def test_node_counts_pinned(instance, opt, min_nodes, no_nodes):
     assert (verdict.answer, verdict.stats.nodes_expanded) == ("NO", no_nodes)
 
 
+# the tier where the search branches: cubic n=160 and n=200, generator seeds
+# 1-6, as (optimum, nodes in vc_minimum) per graph; 14,290 nodes in all
+BRANCHING_TIER = {
+    160: [(88, 545), (89, 589), (89, 471), (89, 609), (88, 355), (90, 1053)],
+    200: [(109, 1489), (110, 1633), (111, 2421), (111, 2689), (110, 1435), (111, 1001)],
+}
+
+
+def test_node_counts_pinned_where_the_search_branches():
+    found = {n: [] for n in BRANCHING_TIER}
+    for n, pins in found.items():
+        for seed in range(1, 7):
+            size, _, stats = vc_minimum(generate("cubic", n, seed))
+            pins.append((size, stats.nodes_expanded))
+    assert found == BRANCHING_TIER
+    assert sum(nodes for pins in found.values() for _, nodes in pins) == 14_290
+
+
 def same_tree_corpus():
     """About 60 small graphs that reach every selection rule and branch."""
     for seed in range(36):
