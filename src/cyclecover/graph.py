@@ -102,24 +102,18 @@ class Graph:
             self.touched.update(nbrs)
         return nbrs
 
-    def fold(self, u: int) -> set[int]:
-        """Delete the degree-2 vertex u and merge its lower neighbor s into
-        the other, r, which must not be adjacent to s.
+    def fold(self, u: int, s: int, r: int) -> set[int]:
+        """Delete the degree-2 vertex u and merge its neighbor s into its
+        other neighbor r, which must not be adjacent to s.
 
         Parallel edges collapse. Returns the common neighbors of s and r, the
         vertices whose degree fell. ``touched`` gains r and s's neighbors but
         u, as deleting u and moving s's edges onto r one by one would.
         """
         adj = self._adj
-        try:
-            s, r = adj[u]
-        except (KeyError, ValueError):
-            raise ValueError(f"fold needs a live degree-2 vertex, got {u}") from None
-        if s > r:
-            s, r = r, s
-        absorbed = adj[s]
-        if r in absorbed:
-            raise ValueError(f"fold needs non-adjacent neighbors, but {s} and {r} are adjacent")
+        absorbed = adj.get(s)
+        if s == r or adj.get(u) != {s, r} or r in absorbed:
+            raise ValueError(f"fold needs a degree-2 vertex {u} with non-adjacent neighbors {s}, {r}")
         del adj[u], adj[s]
         self._retired.update((u, s))
         absorbed.discard(u)

@@ -4,9 +4,8 @@ Every rule mutates the graph, appends trace entries, and accounts its cover
 cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
 size s + k_delta for the original. ``reduce_fixpoint`` runs the degree rules
 (isolated, degree-1, degree-2 folding in one ``Graph.fold`` call) and includes
-unconfined vertices, a rule that covers domination; its scan takes each walk's
-first step inline. The struction is a library rule that the search does not
-run; ``lift_cover`` still undoes it.
+unconfined vertices, a rule that covers domination. The struction is a library
+rule that the search does not run; ``lift_cover`` still undoes it.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
@@ -128,7 +127,7 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
         fell.discard(u)
         fell.discard(r)
     else:
-        fell = g.fold(u)
+        fell = g.fold(u, s, r)
         fell.add(r)
         trace.fold(u, s, r, r)
     return fell
@@ -262,25 +261,10 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
 
 def _first_unconfined(adj: dict[int, set[int]], unchecked: set[int]) -> int | None:
     """Lowest-id unconfined vertex among unchecked; the ids examined leave
-    the set.
-
-    The walk's first step is inline: with S = {v}, it goes on, or finds v
-    unconfined, only through an x in N(v) with at most two neighbors outside
-    N(v), v among them; a candidate without one is confined and costs no
-    call. An x of degree 3 or more with no neighbor in N(v) has too many.
-    """
+    the set."""
     order = sorted(unchecked)
     for i, v in enumerate(order):
-        nv = adj.get(v)
-        if nv is None:
-            continue
-        for x in nv:
-            nx = adj[x]
-            if len(nx) < 3 or not nx.isdisjoint(nv) and len(nx - nv) < 3:
-                break
-        else:
-            continue
-        if _unconfined(adj, v):
+        if v in adj and _unconfined(adj, v):
             unchecked.difference_update(order[: i + 1])
             return v
     unchecked.clear()

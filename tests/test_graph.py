@@ -47,7 +47,7 @@ def test_remove_vertex_cleans_edges():
 def test_fold_rehomes_and_drops_parallels():
     # fold 9 (neighbors 0 and 1): edge 0-2 collapses onto 1-2, edge 0-3 moves to 1-3
     g = Graph.from_edges([(9, 0), (9, 1), (1, 2), (0, 2), (0, 3)])
-    assert g.fold(9) == {2}  # the common neighbors
+    assert g.fold(9, 0, 1) == {2}  # the common neighbors
     assert not g.has_vertex(9) and not g.has_vertex(0)
     assert g.has_edge(1, 2) and g.has_edge(1, 3)
     assert g.num_edges() == 2
@@ -61,10 +61,11 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
     g.touched = set()
     with pytest.raises(ValueError, match="adjacent"):
-        g.fold(0)
-    for bad in (2, 3, 7):  # degree 3, degree 1, not a vertex
-        with pytest.raises(ValueError, match="live degree-2"):
-            g.fold(bad)
+        g.fold(0, 1, 2)
+    # degree 3, degree 1, not a vertex, not u's neighbors, one neighbor twice
+    for bad in ((2, 0, 1), (3, 2, 4), (7, 0, 1), (0, 1, 3), (3, 2, 2)):
+        with pytest.raises(ValueError, match="degree-2 vertex"):
+            g.fold(*bad)
     assert g.edge_set() == Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]).edge_set()
     assert g.touched == set()
     trace = ReductionTrace()
@@ -102,7 +103,7 @@ def test_fold_matches_two_step_reference():
             ref.remove_vertex(u)
             common = ref.neighbors(s) & ref.neighbors(r)
             contract_by_edge_moves(ref, r, s)
-            assert g.fold(u) == common
+            assert g.fold(u, s, r) == common
             assert set(g.vertices()) == set(ref.vertices())
             assert g.edge_set() == ref.edge_set() and g.num_edges() == ref.num_edges()
             live = set(g.vertices())
@@ -164,13 +165,13 @@ def test_touched_collects_changed_neighborhoods():
     g.add_edge(4, 5)
     g.remove_edge(3, 8)
     g.touched = set()
-    assert g.fold(3) == {5}  # s = 2, r = 4: edge 2-5 collapses onto 4-5
+    assert g.fold(3, 2, 4) == {5}  # edge 2-5 collapses onto 4-5
     assert g.touched == {4, 5}
     g.add_edge(7, 5)
     g.add_edge(7, 9)
     g.add_edge(9, 8)
     g.touched = set()
-    assert g.fold(7) == set()  # s = 5, r = 9: edge 5-4 moves to 9-4
+    assert g.fold(7, 5, 9) == set()  # edge 5-4 moves to 9-4
     assert g.touched == {4, 9} and g.has_edge(9, 4)
     # copies carry the marks: a set is copied, None stays None
     g.touched = {0, 4}
@@ -215,7 +216,8 @@ def test_invariants_hold_under_random_mutation():
         else:
             foldable = [u for u in verts if g.degree(u) == 2 and not g.has_edge(*g.neighbors(u))]
             if foldable:
-                g.fold(rng.choice(foldable))
+                u = rng.choice(foldable)
+                g.fold(u, *sorted(g.neighbors(u)))
         g.check_invariants()
         assert g.num_components() == len(g.connected_components())
     assert g.num_vertices() >= 0
