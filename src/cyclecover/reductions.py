@@ -4,8 +4,7 @@ Every rule mutates the graph, appends trace entries, and accounts its cover
 cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
 size s + k_delta for the original. ``reduce_fixpoint`` runs the degree rules
 (isolated, degree-1, degree-2 folding in one ``Graph.fold`` call) and includes
-unconfined vertices, a rule that covers domination. The struction is a library
-rule that the search does not run; ``lift_cover`` still undoes it.
+unconfined vertices, a rule that covers domination.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
@@ -32,24 +31,14 @@ class DeleteIsolated:
 
 @dataclass(slots=True)
 class FoldDeg2:
-    """Degree-2 u with non-adjacent neighbors s, r merged into kept (= r):
-    kept in the lifted cover means {s, r}, otherwise u."""
+    """Degree-2 u with non-adjacent neighbors s, r merged into r: r in the
+    lifted cover means {s, r}, otherwise u."""
     u: int
     s: int
     r: int
-    kept: int
-
-@dataclass(slots=True)
-class Struction:
-    """Degree-3 center with one edge inside its neighborhood replaced by two
-    new vertices, one per non-adjacent neighbor pair."""
-    center: int
-    neighbors: tuple[int, int, int]
-    inside_pair: tuple[int, int]
-    created: tuple[tuple[tuple[int, int], int], ...]  # ((pair, new_id), ...)
 
 
-TraceEntry = Union[Include, DeleteIsolated, FoldDeg2, Struction]
+TraceEntry = Union[Include, DeleteIsolated, FoldDeg2]
 
 
 @dataclass
@@ -64,12 +53,8 @@ class ReductionTrace:
     def delete_isolated(self, v: int) -> None:
         self.entries.append(DeleteIsolated(v))
 
-    def fold(self, u: int, s: int, r: int, kept: int) -> None:
-        self.entries.append(FoldDeg2(u, s, r, kept))
-        self.k_delta += 1
-
-    def struction(self, entry: Struction) -> None:
-        self.entries.append(entry)
+    def fold(self, u: int, s: int, r: int) -> None:
+        self.entries.append(FoldDeg2(u, s, r))
         self.k_delta += 1
 
 
@@ -81,26 +66,10 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
         if isinstance(entry, Include):
             cover.add(entry.v)
         elif isinstance(entry, FoldDeg2):
-            if entry.kept in cover:
+            if entry.r in cover:
                 cover.add(entry.s)
-                cover.add(entry.r)
             else:
                 cover.add(entry.u)
-        elif isinstance(entry, Struction):
-            chosen = [(pair, nid) for pair, nid in entry.created if nid in cover]
-            for _, nid in chosen:
-                cover.discard(nid)
-            if len(chosen) == len(entry.created):
-                cover.update(entry.neighbors)
-            elif len(chosen) == 1:
-                pair, _ = chosen[0]
-                inside = set(entry.inside_pair)
-                cover.add(entry.center)
-                cover.update(set(pair) & inside)
-            else:
-                # the created vertices are mutually adjacent, so a real cover
-                # picks at least one of them
-                raise ValueError("reduced cover misses every created vertex of a struction")
     return cover
 
 
@@ -129,7 +98,7 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
     else:
         fell = g.fold(u, s, r)
         fell.add(r)
-        trace.fold(u, s, r, r)
+        trace.fold(u, s, r)
     return fell
 
 
@@ -170,55 +139,6 @@ def reduce_low_degree(
         for x in fell:
             if len(adj[x]) <= 2:
                 heappush(heap, x)
-
-
-def dominated_vertex(g: Graph, trace: ReductionTrace) -> bool:
-    """Include one vertex u whose closed neighborhood swallows an adjacent
-    vertex v's: u is the only neighbor of v outside N(u). Lowest dominator
-    id first. Returns whether a rule fired. ``reduce_fixpoint`` finds every
-    dominator as an unconfined vertex."""
-    adj = g.adjacency()
-    u = next((u for u in sorted(adj) if any(len(adj[v] - adj[u]) == 1 for v in adj[u])), None)
-    if u is None:
-        return False
-    trace.include(u)
-    g.remove_vertex(u)
-    return True
-
-
-def struction(g: Graph, u: int, trace: ReductionTrace) -> bool:
-    """Rewire a degree-3 vertex whose neighborhood holds exactly one edge.
-
-    The closed neighborhood {u, a, b, c} is replaced by one new vertex per
-    non-adjacent neighbor pair; the new vertices are adjacent to each other and
-    to the outside neighbors of their pair's members. Costs 1 cover vertex.
-    Returns False without touching the graph when the shape does not match.
-    """
-    if not g.has_vertex(u) or g.degree(u) != 3:
-        return False
-    a, b, c = sorted(g.neighbors(u))
-    inside = [(x, y) for x, y in ((a, b), (a, c), (b, c)) if g.has_edge(x, y)]
-    if len(inside) != 1:
-        return False
-    closed = {u, a, b, c}
-    anti = [(x, y) for x, y in ((a, b), (a, c), (b, c)) if not g.has_edge(x, y)]
-    outside = {w: set(g.neighbors(w)) - closed for w in (a, b, c)}
-    for w in closed:
-        g.remove_vertex(w)
-    created = []
-    for pair in anti:
-        nid = g.add_vertex()
-        created.append((pair, nid))
-    for i in range(len(created)):
-        for j in range(i + 1, len(created)):
-            g.add_edge(created[i][1], created[j][1])
-    for (x, y), nid in created:
-        for w in sorted(outside[x] | outside[y]):
-            g.add_edge(nid, w)
-    trace.struction(
-        Struction(center=u, neighbors=(a, b, c), inside_pair=inside[0], created=tuple(created))
-    )
-    return True
 
 
 def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:

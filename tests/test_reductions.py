@@ -1,4 +1,5 @@
 import random
+import typing
 
 import pytest
 
@@ -10,12 +11,10 @@ from cyclecover.reductions import (
     FoldDeg2,
     Include,
     ReductionTrace,
-    dominated_vertex,
     fold_degree2,
     lift_cover,
     reduce_fixpoint,
     reduce_low_degree,
-    struction,
 )
 
 from conftest import mixed_instance
@@ -53,8 +52,8 @@ def test_fold_nonadjacent_contracts():
     assert not g.has_vertex(0)
     entry = t.entries[-1]
     assert isinstance(entry, FoldDeg2)
-    # kept endpoint inherits both tails
-    assert g.degree(entry.kept) == 2
+    # r inherits both tails
+    assert g.degree(entry.r) == 2
 
 
 def test_fold_adjacent_takes_both_neighbors():
@@ -79,34 +78,24 @@ def test_fold_lift_both_sides():
 
 
 def test_domination_adjacent_superset():
-    # N[1] inside N[0]: 0 is safe to take
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (0, 4)])
+    # N[1] inside N[0]: 0 dominates 1, and the unconfined rule, which is the
+    # domination test at |S| = 1, takes 0 first
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (0, 4)]
+    g = Graph.from_edges(edges)
     t = ReductionTrace()
-    assert dominated_vertex(g, t)
-    assert t.k_delta == 1
-    assert not g.has_vertex(0)
+    reduce_fixpoint(g, t)
+    assert t.entries[0] == Include(0)
+    assert g.num_vertices() == 0 and t.k_delta == 3
+    assert is_vertex_cover(Graph.from_edges(edges), lift_cover(t, set()))
 
 
-def test_struction_single_inside_edge():
-    # degree-3 center 0 with one edge inside its neighborhood
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 6), (3, 7)])
-    opt, _ = min_vc_bruteforce(g)
-    t = ReductionTrace()
-    assert struction(g, 0, t)
-    assert t.k_delta == 1
-    size, lifted = residual_optimum(g, t)
-    assert size == opt
-    orig = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 6), (3, 7)])
-    assert is_vertex_cover(orig, lifted)
-
-
-def test_struction_declines_other_shapes():
-    tri_free = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
-    t = ReductionTrace()
-    assert not struction(tri_free, 0, t)
-    two_inside = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
-    assert not struction(two_inside, 0, t)
-    assert t.k_delta == 0 and two_inside.num_vertices() == 6
+def test_trace_vocabulary_is_what_the_rules_emit():
+    emitted = set()
+    for seed in range(300):
+        t = ReductionTrace()
+        reduce_fixpoint(mixed_instance(seed), t)
+        emitted |= {type(entry) for entry in t.entries}
+    assert set(typing.get_args(reductions.TraceEntry)) == emitted
 
 
 def test_fixpoint_reaches_min_degree_three():
@@ -133,7 +122,7 @@ def test_fixpoint_preserves_optimum():
 
 
 def test_lift_is_order_sensitive_replay():
-    # fold then force the kept vertex: replay must add the folded pair
+    # fold then force the merged vertex r: replay must add the folded pair
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = ReductionTrace()
     fold_degree2(g, 0, t)
@@ -142,7 +131,7 @@ def test_lift_is_order_sensitive_replay():
     lifted = lift_cover(t, cover)
     orig = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     assert is_vertex_cover(orig, lifted)
-    if entry.kept in cover:
+    if entry.r in cover:
         assert {entry.s, entry.r} <= lifted
     else:
         assert entry.u in lifted
@@ -175,7 +164,7 @@ def low_degree_by_full_rescans(g, trace):
                 for w in sorted(g.neighbors(s)):
                     g.add_edge(r, w)
                 g.remove_vertex(s)
-                trace.fold(u=v, s=s, r=r, kept=r)
+                trace.fold(u=v, s=s, r=r)
 
 
 def is_unconfined(g, v):
@@ -305,7 +294,8 @@ def test_unconfined_beyond_domination():
     unconfined at |S| = 2: for v = 0, N(1) leaves N[0] only at 5, and with
     S = {0, 5} all of N(4) lies in N[S]."""
     prism = Graph.from_edges([(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (0, 2), (1, 5), (4, 3)])
-    assert not dominated_vertex(prism.clone(), ReductionTrace())
+    adj = {v: prism.neighbors(v) for v in prism.vertices()}
+    assert not any(len(adj[v] - adj[u]) == 1 for u in adj for v in adj[u])
     assert all(is_unconfined(prism, v) for v in prism.vertices())
     t = ReductionTrace()
     reduce_fixpoint(prism, t)
