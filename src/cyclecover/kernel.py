@@ -8,6 +8,12 @@ whose two copies are both covered gets LP value 1, neither copy 0, one copy
 1/2. Value-1 vertices belong to some minimum cover, value-0 vertices to none,
 and the halves induce the kernel, which has at most 2k vertices or the answer
 is NO.
+
+Two matchings serve two kinds of caller. ``lp_lower_bound`` and
+``nt_kernelize`` need the value on whole inputs and use Hopcroft-Karp, whose
+O(m sqrt n) bound holds there. The search asks at every node only whether the
+LP bound exceeds its budget: ``lp_exceeds`` matches greedily, then augments
+one free vertex at a time (Kuhn), and stops as soon as the answer is known.
 """
 
 from __future__ import annotations
@@ -149,6 +155,74 @@ def lp_lower_bound(g: Graph) -> int:
     """ceil of the LP optimum; every cover is at least this large."""
     matching, _, _ = _double_cover_matching(g)
     return (matching + 1) // 2
+
+
+def lp_exceeds(g: Graph, cap: int) -> bool:
+    """Whether lp_lower_bound(g) > cap: does the double cover have a matching
+    of 2 * cap + 1 edges? Stops as soon as the answer is known.
+
+    A greedy matching comes first, then one augmenting search (Kuhn) per left
+    copy it left free. A search that fails now fails after any later
+    augmentation too, so the matching reaches 2 * cap + 1 exactly when at
+    most n - 2 * cap - 1 searches fail. A failed search leaves its right
+    copies marked until the next augmentation: they lead to no free right
+    copy until the matching changes.
+    """
+    adj = g.adjacency()
+    spare = len(adj) - 2 * cap - 1  # left copies allowed to stay unmatched
+    if spare < 0:
+        return False
+    mate: dict[int, int] = {}  # right copy -> its left partner
+    free = []
+    for u, nbrs in adj.items():
+        for w in nbrs:
+            if w not in mate:
+                mate[w] = u
+                break
+        else:
+            free.append(u)
+    unmatched = len(free)
+    failed = 0
+    seen: set[int] = set()
+    for root in free:
+        if unmatched <= spare:
+            return True
+        # depth-first, and each left copy reached looks for a free partner
+        # first; on success lefts[i] takes rights[i]
+        lefts, rights, pending = [root], [], [iter(adj[root])]
+        while pending:
+            for w in pending[-1]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                rights.append(w)
+                m = mate.get(w)
+                if m is not None:
+                    lefts.append(m)
+                    for x in adj[m]:
+                        if x not in mate:
+                            rights.append(x)
+                            break
+                    else:
+                        pending.append(iter(adj[m]))
+                        break
+                for u, x in zip(lefts, rights):
+                    mate[x] = u
+                pending = None
+                break
+            else:
+                pending.pop()
+                lefts.pop()
+                if rights:
+                    rights.pop()
+        if pending is None:
+            unmatched -= 1
+            seen.clear()
+        else:
+            failed += 1
+            if failed > spare:
+                return False
+    return unmatched <= spare
 
 
 def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> KernelResult:

@@ -15,10 +15,17 @@ covers refer to the reduced graph: a node charges the reductions' cost once
 and lifts its cover through the reduction trace once, on the way out.
 
 The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
-feasible), so a node pays for the matching behind the LP bound only when
-ceil(n/2) could exceed its budget. The LP bound after reductions is at least
-as strong as the Nemhauser-Trotter kernel's infeasibility test before them
-(every rule keeps LP(G) <= LP(G') + cost), so the search runs no NT kernel.
+feasible), so a node pays for a matching only when ceil(n/2) could exceed its
+budget, and then for ``lp_exceeds``, which stops once it knows whether the LP
+bound exceeds the budget. A node checks the bound twice. The first check comes
+before its reductions: every rule keeps LP(G) <= LP(G') + cost, so a graph it
+prunes would be pruned after its reductions as well, and the reductions are
+skipped. Most pruned leaves end there. The root skips this check (its
+``touched`` is None: no reductions have run on it), because reductions shrink
+a handed-in graph first, and on a large sparse input the matching would run
+to the end only to answer no. The second check, after the reductions, is at
+least as strong as the Nemhauser-Trotter kernel's infeasibility test before
+them, so the search runs no NT kernel.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .graph import Graph
-from .kernel import lp_lower_bound
+from .kernel import lp_exceeds, lp_lower_bound
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
@@ -63,6 +70,7 @@ class SearchStats:
     max_depth: int = 0
     tree_leaf_count: int = 0
     k_exhausted_leaves: int = 0
+    lp_prunes: int = 0
     tau_root: int = 0
 
 
@@ -94,6 +102,10 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
         return None
     if g.num_edges() == 0:
         return 0, set()
+    if g.touched is not None and (g.num_vertices() + 1) // 2 > cap and lp_exceeds(g, cap):
+        stats.k_exhausted_leaves += 1
+        stats.lp_prunes += 1
+        return None
 
     trace = ReductionTrace()
     reduce_fixpoint(g, trace)
@@ -104,8 +116,9 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
     if g.num_edges() == 0:  # the empty graph; perfbench counts treecover calls
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-    elif (g.num_vertices() + 1) // 2 > cap and lp_lower_bound(g) > cap:
+    elif (g.num_vertices() + 1) // 2 > cap and lp_exceeds(g, cap):
         stats.k_exhausted_leaves += 1
+        stats.lp_prunes += 1
         return None
     elif not g.is_connected():
         r = yield from _solve_components(g, g.connected_components(), cap, stats)

@@ -64,7 +64,9 @@ def test_minimize_emits_stats_and_cover():
     assert stats["envelope_1_1504"] == pytest.approx(1.1504**6)
     code, doc = run_doc(["solve", "-", "--k", "5"], pet)
     assert code == 0 and doc["answer"] == "NO"
-    assert doc["stats"]["k_exhausted_leaves"] == vc_decide(petersen_graph(), 5).stats.k_exhausted_leaves > 0
+    stats = vc_decide(petersen_graph(), 5).stats
+    assert doc["stats"]["k_exhausted_leaves"] == stats.k_exhausted_leaves > 0
+    assert doc["stats"]["lp_prunes"] == stats.lp_prunes
 
 
 def test_envelopes_beyond_float_range_are_null(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from cyclecover.generators import complete_graph, cycle_graph, star_graph
 from cyclecover.graph import Graph
-from cyclecover.kernel import _double_cover_matching, lp_lower_bound, nt_kernelize
+from cyclecover.kernel import _double_cover_matching, lp_exceeds, lp_lower_bound, nt_kernelize
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover
 
@@ -176,6 +176,31 @@ def test_long_cycle_within_default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert lp_lower_bound(cycle_graph(5001)) == 2501
+        g = cycle_graph(5001)
+        assert lp_lower_bound(g) == 2501
+        assert lp_exceeds(g, 2500) and not lp_exceeds(g, 2501)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_lp_exceeds_is_the_lp_bound_against_the_cap():
+    checked = 0
+    for seed in range(120):
+        g = mixed_instance(seed, max_n=30)
+        rng = random.Random(seed)
+        # deletions leave isolated and degree-1 vertices behind
+        for v in rng.sample(sorted(g.vertices()), rng.randrange(g.num_vertices() // 2 + 1)):
+            g.remove_vertex(v)
+        lp = lp_lower_bound(g)
+        for cap in range(g.num_vertices() + 2):
+            assert lp_exceeds(g, cap) == (lp > cap), (seed, cap)
+            checked += 1
+    assert checked > 1000
+
+
+def test_lp_exceeds_on_a_crown():
+    # K_{3,100}: minimum degree 3 and LP value 3, far below ceil(n/2) = 52
+    g = Graph.from_edges((a, b) for a in range(3) for b in range(3, 103))
+    assert lp_lower_bound(g) == 3
+    for cap in range(g.num_vertices() + 2):
+        assert lp_exceeds(g, cap) == (cap < 3), cap

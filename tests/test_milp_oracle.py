@@ -2,8 +2,8 @@
 
 The solver is compared with HiGHS (``scipy.optimize.milp``) on graphs of
 60-120 vertices, where the search branches, in minimization and in both
-decision outcomes. The slow cases reach 150-200 vertices, where the search
-expands hundreds to thousands of nodes; ``pytest -m slow`` runs them. scipy is
+decision outcomes. The slow cases reach 150-240 vertices, where the search
+expands hundreds to about ten thousand nodes; ``pytest -m slow`` runs them. scipy is
 a test-only dependency: without it the module is skipped, and the package
 itself stays standard-library only.
 """
@@ -51,7 +51,8 @@ def instance(model: str, n: int, seed: int) -> Graph:
      ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7), ("maxdeg5", 120, 8),
      # maxdeg5 n=200 is left out: HiGHS alone takes about 30 s on it
      *(pytest.param(*case, marks=pytest.mark.slow)
-       for case in [("cubic", 160, 1), ("cubic", 200, 3), ("maxdeg5", 150, 1)])],
+       for case in [("cubic", 160, 1), ("cubic", 200, 3), ("cubic", 240, 1),
+                    ("maxdeg5", 150, 1)])],
 )
 def test_solver_agrees_with_milp(model, n, seed):
     g = instance(model, n, seed)

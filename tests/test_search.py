@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cyclecover.search as search
 from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
@@ -155,6 +156,28 @@ def test_search_scans_a_marked_graph_in_full():
     size, _, stats = vc_minimum(g)
     want, _, twin_stats = vc_minimum(twin)
     assert size == want and stats.nodes_expanded == twin_stats.nodes_expanded == 1
+
+
+def test_lp_check_before_reductions_skips_the_root(monkeypatch):
+    """Only graphs that left a parent's reductions are checked before their
+    own: on a large sparse root the early check answers False after a whole
+    matching, and the root's reductions would shrink it first anyway."""
+    g = generate("cubic", 40, 1)
+    g.add_edge(0, 40)  # a pendant edge, so the root's reductions change it
+    k = (g.num_vertices() + 1) // 2 - 1
+    assert vc_minimum(g)[0] > k
+    root = g.edge_set()
+    seen = []
+    real = search.lp_exceeds
+
+    def recording(h, cap):
+        seen.append(h.edge_set())
+        return real(h, cap)
+
+    monkeypatch.setattr(search, "lp_exceeds", recording)
+    verdict = vc_decide(g, k)
+    assert verdict.answer == "NO" and 0 < verdict.stats.lp_prunes <= verdict.stats.k_exhausted_leaves
+    assert seen and root not in seen
 
 
 def test_stats_are_populated():
