@@ -15,17 +15,18 @@ covers refer to the reduced graph: a node charges the reductions' cost once
 and lifts its cover through the reduction trace once, on the way out.
 
 The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
-feasible), so a node pays for a matching only when ceil(n/2) could exceed its
-budget, and then for ``lp_exceeds``, which stops once it knows whether the LP
-bound exceeds the budget. A node checks the bound twice. The first check comes
-before its reductions: every rule keeps LP(G) <= LP(G') + cost, so a graph it
-prunes would be pruned after its reductions as well, and the reductions are
-skipped. Most pruned leaves end there. The root skips this check (its
-``touched`` is None: no reductions have run on it), because reductions shrink
-a handed-in graph first, and on a large sparse input the matching would run
-to the end only to answer no. The second check, after the reductions, is at
-least as strong as the Nemhauser-Trotter kernel's infeasibility test before
-them, so the search runs no NT kernel.
+feasible), so ``lp_exceeds`` runs a matching only when ceil(n/2) could exceed
+the budget, and it stops once it knows whether the LP bound does. Every node
+checks the bound after its reductions; that check is at least as strong as
+the Nemhauser-Trotter kernel's infeasibility test before them, so the search
+runs no NT kernel. A branch child checks it before its reductions as well
+(``lp_first``): every rule keeps LP(G) <= LP(G') + cost, so a graph that
+check prunes would be pruned after its reductions too, and the reductions are
+skipped. Most pruned leaves end there. The root skips the early check,
+because reductions shrink a handed-in graph first, and on a large sparse
+input the matching would run to the end only to answer no. A component child
+makes it only when the bound ``_solve_components`` has already computed
+exceeds the child's budget; otherwise the answer would be no.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -83,16 +84,18 @@ class Verdict:
 
 
 _Result = tuple[int, set[int]] | None
-# a node yields each child as (graph, cap, first_fit) and is sent its result
-_Node = Generator[tuple[Graph, int, bool], _Result, _Result]
+# a node yields each child as (graph, cap, first_fit, lp_first) and is sent
+# its result
+_Node = Generator[tuple[Graph, int, bool, bool], _Result, _Result]
 
 
-def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) -> _Node:
+def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stats: SearchStats) -> _Node:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
-    mode returns the exact minimum when it is within cap. The result refers to
-    g as handed in; g itself is consumed.
+    mode returns the exact minimum when it is within cap. lp_first checks the
+    LP bound before the reductions as well as after them. The result refers
+    to g as handed in; g itself is consumed.
     """
     if stats.nodes_expanded >= budget:
         raise ResourceLimitError(f"node budget {budget} exhausted")
@@ -102,7 +105,7 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if g.touched is not None and (g.num_vertices() + 1) // 2 > cap and lp_exceeds(g, cap):
+    if lp_first and lp_exceeds(g, cap):
         stats.k_exhausted_leaves += 1
         stats.lp_prunes += 1
         return None
@@ -116,7 +119,7 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
     if g.num_edges() == 0:  # the empty graph; perfbench counts treecover calls
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-    elif (g.num_vertices() + 1) // 2 > cap and lp_exceeds(g, cap):
+    elif lp_exceeds(g, cap):
         stats.k_exhausted_leaves += 1
         stats.lp_prunes += 1
         return None
@@ -131,7 +134,7 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
         g_inc = g.clone()
         for u in take:
             g_inc.remove_vertex(u)
-        inc = yield g_inc, cap - len(take), first_fit
+        inc = yield g_inc, cap - len(take), first_fit, True
         if inc is not None:
             size, cover = len(take) + inc[0], inc[1].union(take)
             cap = size - 1  # the exclude branch has to beat it
@@ -139,7 +142,7 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
             nlist = sorted(g.neighbors(plan.vertex))
             for u in (*nlist, plan.vertex):
                 g.remove_vertex(u)
-            exc = yield g, cap - len(nlist), first_fit
+            exc = yield g, cap - len(nlist), first_fit, True
             if exc is not None:
                 size, cover = len(nlist) + exc[0], exc[1].union(nlist)
             elif inc is None:
@@ -149,7 +152,9 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
 
 def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchStats) -> _Node:
     """Components are independent: their minima add. Each is minimized under
-    the budget left over after lower-bounding the others."""
+    the budget left over after lower-bounding the others; it is checked
+    against its LP bound before its reductions only when that bound, already
+    at hand, exceeds its budget."""
     subs = [g.induced_subgraph(c) for c in comps]
     bounds = [lp_lower_bound(s) for s in subs]
     if sum(bounds) > cap:
@@ -158,7 +163,8 @@ def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchS
     total = 0
     cover: set[int] = set()
     for i, sub in enumerate(subs):
-        r = yield sub, cap - total - sum(bounds[i + 1 :]), False
+        sub_cap = cap - total - sum(bounds[i + 1 :])
+        r = yield sub, sub_cap, False, bounds[i] > sub_cap
         if r is None:
             return None
         total += r[0]
@@ -173,7 +179,7 @@ def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, 
     stats.tau_root = circuit_rank(g)
     root = g.clone()
     root.touched = None  # g's marks vouch only for what a local scan reached
-    stack = [_node(root, cap, first_fit, budget, stats)]
+    stack = [_node(root, cap, first_fit, False, budget, stats)]
     result: _Result = None
     while stack:
         try:

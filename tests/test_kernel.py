@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import cyclecover.kernel as kernel
 from cyclecover.generators import complete_graph, cycle_graph, star_graph
 from cyclecover.graph import Graph
 from cyclecover.kernel import _double_cover_matching, lp_exceeds, lp_lower_bound, nt_kernelize
@@ -169,7 +170,22 @@ def matching_by_recursive_dfs(g):
 def test_matching_equals_recursive_reference():
     for seed in range(120):
         g = mixed_instance(seed, max_n=40)
-        assert _double_cover_matching(g) == matching_by_recursive_dfs(g), seed
+        size, mate = _double_cover_matching(g)
+        assert size == len(mate) == matching_by_recursive_dfs(g)[0], seed
+        assert len(set(mate.values())) == size, seed
+        assert all(u in g.neighbors(w) for w, u in mate.items()), seed
+
+
+def test_matching_with_first_phase_searches_put_off(monkeypatch):
+    """With a cap of one right copy nearly every first-phase search is put
+    off, so the BFS-layered phases find most augmenting paths."""
+    monkeypatch.setattr(kernel, "FREE_SEARCH_RIGHTS", 1)
+    for seed in range(120):
+        g = mixed_instance(seed, max_n=40)
+        want = matching_by_recursive_dfs(g)[0]
+        assert _double_cover_matching(g)[0] == want, seed
+        for target in range(g.num_vertices() + 2):
+            assert (_double_cover_matching(g, target)[0] >= target) == (want >= target), (seed, target)
 
 
 def test_long_cycle_within_default_recursion_limit():

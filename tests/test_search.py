@@ -159,9 +159,9 @@ def test_search_scans_a_marked_graph_in_full():
 
 
 def test_lp_check_before_reductions_skips_the_root(monkeypatch):
-    """Only graphs that left a parent's reductions are checked before their
-    own: on a large sparse root the early check answers False after a whole
-    matching, and the root's reductions would shrink it first anyway."""
+    """The root is not checked before its reductions: on a large sparse root
+    the early check answers False after a whole matching, and the root's
+    reductions would shrink it first anyway."""
     g = generate("cubic", 40, 1)
     g.add_edge(0, 40)  # a pendant edge, so the root's reductions change it
     k = (g.num_vertices() + 1) // 2 - 1
@@ -178,6 +178,28 @@ def test_lp_check_before_reductions_skips_the_root(monkeypatch):
     verdict = vc_decide(g, k)
     assert verdict.answer == "NO" and 0 < verdict.stats.lp_prunes <= verdict.stats.k_exhausted_leaves
     assert seen and root not in seen
+
+
+def test_component_children_skip_an_early_check_their_bound_settles(monkeypatch):
+    """A component child's budget is what is left after the other components'
+    LP bounds. When it is at least the child's own bound, an LP check before
+    the child's reductions could only answer no, so only the check after
+    them runs."""
+    a = generate("cubic", 20, 1)
+    g = Graph.from_edges([*a.edges(), *((u + 20, v + 20) for u, v in a.edges())])
+    comps = {frozenset(frozenset(e) for e in a.edges()),
+             frozenset(frozenset((u + 20, v + 20)) for u, v in a.edges())}
+    want = 2 * vc_minimum(a)[0]
+    seen = []
+    real = search.lp_exceeds
+
+    def recording(h, cap):
+        seen.append(h.edge_set())
+        return real(h, cap)
+
+    monkeypatch.setattr(search, "lp_exceeds", recording)
+    assert vc_minimum(g)[0] == want
+    assert [seen.count(c) for c in comps] == [1, 1]
 
 
 def test_stats_are_populated():
