@@ -28,6 +28,12 @@ input the matching would run to the end only to answer no. A component child
 makes it only when the bound ``_solve_components`` has already computed
 exceeds the child's budget; otherwise the answer would be no.
 
+Where the LP bound can at most tie the budget, cap = ceil(n/2), both checks
+go on to a triangle-packing bound (``packing_exceeds``: two vertices of
+each of t disjoint triangles plus the LP bound of the rest), a gate that
+follows from n and cap alone. On reduced cubic-like graphs the LP bound is
+almost always ceil(n/2), so this bound prunes where the LP check cannot.
+
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
 exclude branch consumes the node's graph), and reductions that re-examine only
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .graph import Graph
-from .kernel import lp_exceeds, lp_lower_bound
+from .kernel import lp_exceeds, lp_lower_bound, packing_exceeds
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
@@ -72,6 +78,7 @@ class SearchStats:
     tree_leaf_count: int = 0
     k_exhausted_leaves: int = 0
     lp_prunes: int = 0
+    packing_prunes: int = 0
     tau_root: int = 0
 
 
@@ -94,8 +101,8 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
 
     Decision mode (first_fit) may return any cover within cap; minimization
     mode returns the exact minimum when it is within cap. lp_first checks the
-    LP bound before the reductions as well as after them. The result refers
-    to g as handed in; g itself is consumed.
+    lower bounds before the reductions as well as after them. The result
+    refers to g as handed in; g itself is consumed.
     """
     if stats.nodes_expanded >= budget:
         raise ResourceLimitError(f"node budget {budget} exhausted")
@@ -105,9 +112,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if lp_first and lp_exceeds(g, cap):
-        stats.k_exhausted_leaves += 1
-        stats.lp_prunes += 1
+    if lp_first and _bound_exceeds(g, cap, stats):
         return None
 
     trace = ReductionTrace()
@@ -119,9 +124,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
     if g.num_edges() == 0:  # the empty graph; perfbench counts treecover calls
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-    elif lp_exceeds(g, cap):
-        stats.k_exhausted_leaves += 1
-        stats.lp_prunes += 1
+    elif _bound_exceeds(g, cap, stats):
         return None
     elif not g.is_connected():
         r = yield from _solve_components(g, g.connected_components(), cap, stats)
@@ -148,6 +151,19 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
             elif inc is None:
                 return None
     return trace.k_delta + size, lift_cover(trace, cover)
+
+
+def _bound_exceeds(g: Graph, cap: int, stats: SearchStats) -> bool:
+    """Whether a lower bound on g's covers exceeds cap: the LP bound, or,
+    where that can at most tie cap, triangle packing. Counts the prune."""
+    if lp_exceeds(g, cap):
+        stats.lp_prunes += 1
+    elif packing_exceeds(g, cap):
+        stats.packing_prunes += 1
+    else:
+        return False
+    stats.k_exhausted_leaves += 1
+    return True
 
 
 def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchStats) -> _Node:

@@ -67,6 +67,14 @@ def test_minimize_emits_stats_and_cover():
     stats = vc_decide(petersen_graph(), 5).stats
     assert doc["stats"]["k_exhausted_leaves"] == stats.k_exhausted_leaves > 0
     assert doc["stats"]["lp_prunes"] == stats.lp_prunes
+    assert doc["stats"]["packing_prunes"] == stats.packing_prunes == 0  # no triangles
+    g = generate("cubic", 60, 1)
+    code, doc = run_doc(["solve", "-", "--k", "33"], emit_dimacs(g))
+    assert code == 0 and doc["answer"] == "NO"
+    stats = vc_decide(g, 33).stats
+    assert doc["stats"]["packing_prunes"] == stats.packing_prunes > 0
+    assert doc["stats"]["lp_prunes"] == stats.lp_prunes > 0
+    assert doc["stats"]["k_exhausted_leaves"] == stats.k_exhausted_leaves
 
 
 def test_envelopes_beyond_float_range_are_null(tmp_path):

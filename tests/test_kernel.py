@@ -4,9 +4,16 @@ import sys
 import pytest
 
 import cyclecover.kernel as kernel
-from cyclecover.generators import complete_graph, cycle_graph, star_graph
+from cyclecover.generators import complete_graph, cycle_graph, random_max_degree, star_graph
 from cyclecover.graph import Graph
-from cyclecover.kernel import _double_cover_matching, lp_exceeds, lp_lower_bound, nt_kernelize
+from cyclecover.kernel import (
+    _double_cover_matching,
+    _triangle_packing,
+    lp_exceeds,
+    lp_lower_bound,
+    nt_kernelize,
+    packing_exceeds,
+)
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover
 
@@ -170,7 +177,7 @@ def matching_by_recursive_dfs(g):
 def test_matching_equals_recursive_reference():
     for seed in range(120):
         g = mixed_instance(seed, max_n=40)
-        size, mate = _double_cover_matching(g)
+        size, mate = _double_cover_matching(g.adjacency())
         assert size == len(mate) == matching_by_recursive_dfs(g)[0], seed
         assert len(set(mate.values())) == size, seed
         assert all(u in g.neighbors(w) for w, u in mate.items()), seed
@@ -183,9 +190,9 @@ def test_matching_with_first_phase_searches_put_off(monkeypatch):
     for seed in range(120):
         g = mixed_instance(seed, max_n=40)
         want = matching_by_recursive_dfs(g)[0]
-        assert _double_cover_matching(g)[0] == want, seed
+        assert _double_cover_matching(g.adjacency())[0] == want, seed
         for target in range(g.num_vertices() + 2):
-            assert (_double_cover_matching(g, target)[0] >= target) == (want >= target), (seed, target)
+            assert (_double_cover_matching(g.adjacency(), target)[0] >= target) == (want >= target), (seed, target)
 
 
 def test_long_cycle_within_default_recursion_limit():
@@ -220,3 +227,67 @@ def test_lp_exceeds_on_a_crown():
     assert lp_lower_bound(g) == 3
     for cap in range(g.num_vertices() + 2):
         assert lp_exceeds(g, cap) == (cap < 3), cap
+
+
+def test_packing_bound_never_exceeds_the_optimum():
+    pruned = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(8, 23)
+        g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=6 * n)
+        opt = min_vc_bruteforce(g)[0]
+        for cap in range(-1, n + 2):
+            if packing_exceeds(g, cap):
+                assert opt > cap, (seed, cap)
+                pruned += 1
+    assert pruned >= 150  # the bound does fire on these graphs
+
+
+def test_packing_bound_lifts_the_prism_above_its_lp_bound():
+    # two triangles joined by a matching: LP 3, optimum 4
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
+    assert not lp_exceeds(g, 3) and packing_exceeds(g, 3)
+
+
+def test_packing_bound_never_prunes_a_bipartite_graph():
+    cube = Graph.from_edges((a, a ^ bit) for a in range(8) for bit in (1, 2, 4))
+    grid = Graph.from_edges(
+        [(5 * r + c, 5 * r + c + 1) for r in range(4) for c in range(4)]
+        + [(5 * r + c, 5 * r + c + 5) for r in range(3) for c in range(5)]
+    )
+    for g in (cube, cycle_graph(10), grid):
+        opt = min_vc_bruteforce(g)[0]
+        assert lp_lower_bound(g) == opt
+        for cap in range(-1, g.num_vertices() + 2):
+            assert not packing_exceeds(g, cap), cap
+
+
+def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
+    """The check matches the double cover of g - T without building it;
+    it must answer as the LP bound of the induced subgraph does."""
+    compared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(6, 41)
+        g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((3, 6)) * n)
+        for v in rng.sample(sorted(g.vertices()), rng.randrange(n // 4 + 1)):
+            g.remove_vertex(v)
+        n = g.num_vertices()
+        for cap in range(-1, n + 2):
+            need = 2 * cap - n + 1
+            want = False
+            if 1 <= need <= 2:
+                packed = _triangle_packing(g.adjacency(), need)
+                assert len(set().union(*packed)) == 3 * len(packed) <= 3 * need, seed
+                for x, y, z in packed:
+                    assert {y, z} <= g.neighbors(x) and z in g.neighbors(y), seed
+                rest = g.induced_subgraph(set(g.vertices()).difference(*packed))
+                if len(packed) == need:
+                    want = 2 * need + lp_lower_bound(rest) > cap
+                    compared += 1
+                else:  # maximal: no triangle left among the unpacked vertices
+                    nbrs = rest.neighbors
+                    assert all(nbrs(u).isdisjoint(nbrs(v)) for u, v in rest.edges()), seed
+            assert packing_exceeds(g, cap) == want, (seed, cap)
+    assert compared >= 100

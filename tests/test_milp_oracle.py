@@ -49,10 +49,9 @@ def instance(model: str, n: int, seed: int) -> Graph:
     "model, n, seed",
     [("cubic", 60, 4), ("cubic", 80, 5), ("cubic", 100, 6), ("cubic", 120, 7),
      ("maxdeg5", 60, 4), ("maxdeg5", 80, 6), ("maxdeg5", 100, 7), ("maxdeg5", 120, 8),
-     # maxdeg5 n=200 is left out: HiGHS alone takes about 30 s on it
      *(pytest.param(*case, marks=pytest.mark.slow)
        for case in [("cubic", 160, 1), ("cubic", 200, 3), ("cubic", 240, 1),
-                    ("maxdeg5", 150, 1)])],
+                    ("maxdeg5", 150, 1), ("maxdeg5", 200, 1)])],
 )
 def test_solver_agrees_with_milp(model, n, seed):
     g = instance(model, n, seed)
