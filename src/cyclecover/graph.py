@@ -1,4 +1,4 @@
-"""Mutable undirected simple graph with stable, never-reused vertex ids."""
+"""Mutable undirected simple graph on caller-chosen vertex ids."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ VertexId = int
 class Graph:
     """Adjacency-set graph: no self-loops, no parallel edges.
 
-    Ids are arbitrary non-negative ints and need not be contiguous. Once an id
-    has been used it is retired forever on deletion; fresh ids from
-    ``add_vertex()`` are strictly larger than any id ever seen, so traces and
-    certificates can refer to deleted vertices without ambiguity.
+    Ids are arbitrary non-negative ints, chosen by whoever adds a vertex, and
+    need not be contiguous. The graph keeps no record of deleted ids. The
+    search and the reductions only delete and fold, so every id a trace or a
+    certificate names is one of the input's, and never stands for two
+    vertices.
 
     ``touched`` is None, or a set to which every mutation adds the vertices
     whose neighborhood it changed; a new vertex counts as changed, a
@@ -30,13 +31,11 @@ class Graph:
     lost a neighbor.
     """
 
-    __slots__ = ("_adj", "_m", "_next_id", "_retired", "touched")
+    __slots__ = ("_adj", "_m", "touched")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
-        self._next_id = 0
-        self._retired: set[int] = set()
         self.touched: set[int] | None = None
 
     @classmethod
@@ -53,20 +52,14 @@ class Graph:
 
     # mutation
 
-    def add_vertex(self, v: int | None = None) -> int:
-        if v is None:
-            v = self._next_id
+    def add_vertex(self, v: int) -> None:
         if v < 0:
             raise ValueError(f"vertex id must be non-negative, got {v}")
         if v in self._adj:
             raise ValueError(f"vertex {v} is already present")
-        if v in self._retired:
-            raise ValueError(f"vertex id {v} was deleted and may not be reused")
         self._adj[v] = set()
-        self._next_id = max(self._next_id, v + 1)
         if self.touched is not None:
             self.touched.add(v)
-        return v
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -97,7 +90,6 @@ class Graph:
             self._adj[w].discard(v)
         self._m -= len(nbrs)
         del self._adj[v]
-        self._retired.add(v)
         if self.touched is not None:
             self.touched.update(nbrs)
         return nbrs
@@ -115,7 +107,6 @@ class Graph:
         if s == r or adj.get(u) != {s, r} or r in absorbed:
             raise ValueError(f"fold needs a degree-2 vertex {u} with non-adjacent neighbors {s}, {r}")
         del adj[u], adj[s]
-        self._retired.update((u, s))
         absorbed.discard(u)
         kept = adj[r]
         kept.discard(u)
@@ -143,7 +134,7 @@ class Graph:
         try:
             return len(self._adj[v])
         except KeyError:
-            return len(self._require(v))  # raises for a dead id
+            return len(self._require(v))  # raises for an id not live
 
     def adjacency(self) -> dict[int, set[int]]:
         """Live vertex -> neighbor set. Read-only, like ``neighbors``; for
@@ -155,7 +146,7 @@ class Graph:
         try:
             return self._adj[v]
         except KeyError:
-            return self._require(v)  # raises for a dead id
+            return self._require(v)  # raises for an id not live
 
     def closed_neighborhood(self, v: int) -> set[int]:
         return self._require(v) | {v}
@@ -228,7 +219,6 @@ class Graph:
         sub = Graph()
         sub._adj = {v: self._require(v) & keep_set for v in keep_set}
         sub._m = sum(map(len, sub._adj.values())) // 2
-        sub._next_id = self._next_id
         if self.touched is not None:
             marks, adj = self.touched, self._adj
             sub.touched = {v for v, ns in sub._adj.items() if v in marks or len(ns) < len(adj[v])}
@@ -238,8 +228,6 @@ class Graph:
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._m = self._m
-        g._next_id = self._next_id
-        g._retired = set(self._retired)
         g.touched = None if self.touched is None else set(self.touched)
         return g
 

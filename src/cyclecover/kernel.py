@@ -28,15 +28,19 @@ It loses where Hopcroft-Karp's first greedy pass, in sorted order, happens
 to be perfect: on a 100 x 100 grid numbered row by row, 162 ms against 21 ms.
 
 ``packing_exceeds`` lifts the LP bound where it can at most tie the budget.
-A cover holds two vertices of each of t disjoint triangles T and covers
-G - T, so VC(G) >= 2t + VC(G - T) >= 2t + LP(G - T), in the spirit of the
-clique-cover and cycle-cover bounds of Akiba & Iwata (TCS 2016). It packs
-triangles greedily and matches the double cover of G - T read off an
+A cover holds (|C| + 1) / 2 vertices of each of t disjoint odd cycles C and
+covers the rest R, so VC(G) >= sum (|C| + 1) / 2 + LP(R), in the spirit of
+the clique-cover and cycle-cover bounds of Akiba & Iwata (TCS 2016). It packs
+triangles greedily and, where they run out, the odd cycles a BFS over the
+free vertices closes, and it matches the double cover of R read off an
 adjacency mapping, without building a ``Graph``. On the benchmark's seed-1
-corpora, one 2-vCPU host, a check that gets past its gate takes 28 us on
-``cubic`` and 38 us on ``maxdeg5``; skipping triangle-free vertices with a
-per-vertex ``all(map(...))`` test in place of the plain loop took 46 us on
-``cubic``.
+``cubic`` corpus, decide at opt - 1 on one 2-vCPU host, a check that gets
+past its gate takes 73-86 us, against 30-47 us with triangles alone, which
+gave up without a matching on 512 of their 768 checks; the packing itself
+is about 28 us. The stronger bound leaves 507 checks, and the decides run
+about 11% faster. Skipping triangle-free vertices with a per-vertex
+``all(map(...))`` test in place of the plain triangle loop was slower. The
+gate stays at need <= 2: without it the decides took 30-45% longer.
 """
 
 from __future__ import annotations
@@ -221,15 +225,22 @@ def lp_exceeds(g: Graph, cap: int) -> bool:
     return g.num_vertices() >= target and _double_cover_matching(g.adjacency(), target)[0] >= target
 
 
-def _triangle_packing(adj: Mapping[int, set[int]], need: int) -> list[tuple[int, int, int]]:
-    """Up to need >= 1 vertex-disjoint triangles, packed greedily in adj's
-    order. A vertex v not yet packed takes the first free neighbour u of
-    higher id that closes a triangle with it, and the lowest-id free vertex
-    that closes it. A triangle whose vertices all stay free would have been
-    taken at its lowest vertex, so the packing is maximal unless it stops at
-    need."""
+def _odd_cycle_packing(adj: Mapping[int, set[int]], need: int) -> list[tuple[int, ...]]:
+    """Up to need >= 1 vertex-disjoint odd cycles of the graph with adjacency
+    adj.
+
+    Triangles come first, packed greedily in adj's order: a vertex v not yet
+    packed takes the first free neighbour u of higher id that closes a
+    triangle with it, and the lowest-id free vertex that closes it. A
+    triangle whose vertices all stay free would have been taken at its
+    lowest vertex. Where triangles run out, a BFS over the free vertices runs
+    from each free vertex in turn, in adj's order, and packs the odd cycle
+    that the first edge inside one of its layers closes (``_odd_cycle``); a
+    BFS that finds none has walked a bipartite component of the free
+    vertices, which it sets aside. So unless the packing stops at need, the
+    vertices it leaves induce a bipartite graph."""
     used: set[int] = set()
-    packed = []
+    packed: list[tuple[int, ...]] = []
     for v, nv in adj.items():
         if v in used:
             continue
@@ -241,26 +252,66 @@ def _triangle_packing(adj: Mapping[int, set[int]], need: int) -> list[tuple[int,
                     return packed
                 used.update(packed[-1])
                 break
+    for root in adj:
+        if root in used:
+            continue
+        cycle = _odd_cycle(adj, root, used)
+        if cycle is not None:
+            packed.append(cycle)
+            if len(packed) == need:
+                break
+            used.update(cycle)
     return packed
 
 
-def packing_exceeds(g: Graph, cap: int) -> bool:
-    """Whether 2t + LP(g - T) > cap for a greedy packing T of t disjoint
-    triangles: a cover holds two vertices of each triangle and covers g - T.
+def _odd_cycle(adj: Mapping[int, set[int]], root: int, used: set[int]) -> tuple[int, ...] | None:
+    """The odd cycle that the first edge {u, w} inside a layer of a BFS from
+    root, over the vertices not in used, closes: the tree paths from u and w
+    up to their lowest common ancestor, plus the edge. Without such an edge
+    root's component of free vertices is bipartite; its vertices join used,
+    and the answer is None."""
+    parent = {root: root}
+    depth = {root: 0}
+    queue = [root]
+    for u in queue:
+        d = depth[u]
+        for w in adj[u]:
+            if w in used:
+                continue
+            dw = depth.get(w)
+            if dw is None:
+                parent[w] = u
+                depth[w] = d + 1
+                queue.append(w)
+            elif dw == d:
+                up, down = [u], [w]  # equal depths, so they meet at the ancestor
+                while up[-1] != down[-1]:
+                    up.append(parent[up[-1]])
+                    down.append(parent[down[-1]])
+                down.pop()
+                return (*up, *reversed(down))
+    used.update(queue)
+    return None
 
-    LP(g) <= n/2 and LP(g - T) <= (n - 3t)/2, so the bound can exceed cap
-    only once t reaches need = 2 * cap - n + 1, and packing stops there. The
-    check runs only where need is 1 or 2, that is cap = ceil(n/2): where the
-    LP bound, which ``lp_exceeds`` tests, can at most tie the budget. The
-    remainder's matching then has to be perfect (the target is its vertex
-    count), so the early exit gives up at the first left copy it proves
-    unmatchable.
+
+def packing_exceeds(g: Graph, cap: int) -> bool:
+    """Whether sum((|C| + 1) / 2) + LP(g - C) > cap for a packing C of
+    disjoint odd cycles: a cover holds (|C| + 1) / 2 vertices of an odd cycle
+    C, and it covers g - C.
+
+    LP(g) <= n/2 and LP(g - C) <= (n - |C|)/2, so t packed cycles lift the
+    bound by at most t/2 above n/2: it can exceed cap only once t reaches
+    need = 2 * cap - n + 1, and packing stops there. The check runs only
+    where need is 1 or 2, that is cap = ceil(n/2): where the LP bound, which
+    ``lp_exceeds`` tests, can at most tie the budget. The remainder's
+    matching then has to be perfect (the target is its vertex count), so the
+    early exit gives up at the first left copy it proves unmatchable.
     """
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
     if not 1 <= need <= 2:
         return False
-    packed = _triangle_packing(adj, need)
+    packed = _odd_cycle_packing(adj, need)
     if len(packed) < need:
         return False
     out = set().union(*packed)
@@ -269,7 +320,7 @@ def packing_exceeds(g: Graph, cap: int) -> bool:
         del rest[v]
     for w in set().union(*map(adj.__getitem__, out)) - out:  # only they lose edges
         rest[w] = adj[w] - out
-    target = 2 * (cap - 2 * need) + 1
+    target = 2 * (cap - sum((len(c) + 1) // 2 for c in packed)) + 1  # = len(rest)
     return _double_cover_matching(rest, target)[0] >= target
 
 

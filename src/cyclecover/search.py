@@ -29,10 +29,11 @@ makes it only when the bound ``_solve_components`` has already computed
 exceeds the child's budget; otherwise the answer would be no.
 
 Where the LP bound can at most tie the budget, cap = ceil(n/2), both checks
-go on to a triangle-packing bound (``packing_exceeds``: two vertices of
-each of t disjoint triangles plus the LP bound of the rest), a gate that
-follows from n and cap alone. On reduced cubic-like graphs the LP bound is
-almost always ceil(n/2), so this bound prunes where the LP check cannot.
+go on to an odd-cycle packing bound (``packing_exceeds``: (|C| + 1) / 2
+vertices of each of t disjoint odd cycles C, triangles first, plus the LP
+bound of the rest), a gate that follows from n and cap alone. On reduced
+cubic-like graphs the LP bound is almost always ceil(n/2), so this bound
+prunes where the LP check cannot.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -155,7 +156,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
 
 def _bound_exceeds(g: Graph, cap: int, stats: SearchStats) -> bool:
     """Whether a lower bound on g's covers exceeds cap: the LP bound, or,
-    where that can at most tie cap, triangle packing. Counts the prune."""
+    where that can at most tie cap, odd-cycle packing. Counts the prune."""
     if lp_exceeds(g, cap):
         stats.lp_prunes += 1
     elif packing_exceeds(g, cap):

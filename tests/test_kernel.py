@@ -4,11 +4,11 @@ import sys
 import pytest
 
 import cyclecover.kernel as kernel
-from cyclecover.generators import complete_graph, cycle_graph, random_max_degree, star_graph
+from cyclecover.generators import complete_graph, cycle_graph, generate, random_max_degree, star_graph
 from cyclecover.graph import Graph
 from cyclecover.kernel import (
     _double_cover_matching,
-    _triangle_packing,
+    _odd_cycle_packing,
     lp_exceeds,
     lp_lower_bound,
     nt_kernelize,
@@ -263,10 +263,28 @@ def test_packing_bound_never_prunes_a_bipartite_graph():
             assert not packing_exceeds(g, cap), cap
 
 
+def is_bipartite(g):
+    side = {}
+    for root in g.vertices():
+        if root in side:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
 def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
-    """The check matches the double cover of g - T without building it;
-    it must answer as the LP bound of the induced subgraph does."""
-    compared = 0
+    """The check matches the double cover of g - C without building it;
+    it must answer as the LP bound of the induced subgraph does, with
+    (|C| + 1) / 2 for each packed odd cycle C."""
+    compared = cycles = 0
     for seed in range(200):
         rng = random.Random(seed)
         n = rng.randrange(6, 41)
@@ -278,16 +296,91 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
             need = 2 * cap - n + 1
             want = False
             if 1 <= need <= 2:
-                packed = _triangle_packing(g.adjacency(), need)
-                assert len(set().union(*packed)) == 3 * len(packed) <= 3 * need, seed
-                for x, y, z in packed:
-                    assert {y, z} <= g.neighbors(x) and z in g.neighbors(y), seed
+                packed = _odd_cycle_packing(g.adjacency(), need)
+                assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
+                for c in packed:
+                    assert len(c) >= 3 and len(c) % 2 == 1, seed
+                    assert all(c[i - 1] in g.neighbors(c[i]) for i in range(len(c))), seed
+                    cycles += len(c) > 3
                 rest = g.induced_subgraph(set(g.vertices()).difference(*packed))
                 if len(packed) == need:
-                    want = 2 * need + lp_lower_bound(rest) > cap
+                    want = sum((len(c) + 1) // 2 for c in packed) + lp_lower_bound(rest) > cap
                     compared += 1
-                else:  # maximal: no triangle left among the unpacked vertices
-                    nbrs = rest.neighbors
-                    assert all(nbrs(u).isdisjoint(nbrs(v)) for u, v in rest.edges()), seed
+                else:  # no odd cycle left among the unpacked vertices
+                    assert is_bipartite(rest), seed
             assert packing_exceeds(g, cap) == want, (seed, cap)
-    assert compared >= 100
+    assert compared >= 100 and cycles >= 30
+
+
+def triangle_only_exceeds(g, cap):
+    """The bound with triangles alone: 2t + LP(g - T) > cap for the greedy
+    triangles the packing takes first, in the same order."""
+    adj = g.adjacency()
+    need = 2 * cap - len(adj) + 1
+    if not 1 <= need <= 2:
+        return False
+    used = set()
+    for v, nv in adj.items():
+        if v in used:
+            continue
+        free = nv - used
+        for u in free:
+            if u > v and free & adj[u]:
+                used.update((v, u, min(free & adj[u])))
+                break
+        if len(used) == 3 * need:
+            return 2 * need + lp_lower_bound(g.induced_subgraph(set(adj) - used)) > cap
+    return False
+
+
+def test_odd_cycles_prune_wherever_triangles_alone_prune():
+    """Odd cycles are packed only where triangles run out, so every prune of
+    the triangle bound stays; degree-capped graphs have triangles to pack,
+    cubic ones few."""
+    pruned = lifted = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(6, 41, 2)
+        if seed % 2:
+            g = generate("cubic", n, seed)
+        else:
+            g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((3, 6)) * n)
+        for cap in range(-1, n + 2):
+            if triangle_only_exceeds(g, cap):
+                assert packing_exceeds(g, cap), (seed, cap)
+                pruned += 1
+            elif packing_exceeds(g, cap):
+                lifted += 1
+    assert pruned >= 150 and lifted >= 20
+
+
+def test_packing_bound_never_exceeds_the_optimum_on_sparse_triangles():
+    """Random cubic graphs have few triangles, so most prunes here come
+    from longer odd cycles."""
+    pruned = by_cycles = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        g = generate("cubic", rng.randrange(10, 27, 2), seed)
+        for v in rng.sample(sorted(g.vertices()), rng.randrange(3)):
+            g.remove_vertex(v)
+        n = g.num_vertices()
+        opt = min_vc_bruteforce(g)[0]
+        for cap in range(-1, n + 2):
+            if packing_exceeds(g, cap):
+                assert opt > cap, (seed, cap)
+                pruned += 1
+                by_cycles += any(len(c) > 3 for c in _odd_cycle_packing(g.adjacency(), 2 * cap - n + 1))
+    assert pruned >= 700 and by_cycles >= 150
+
+
+def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():
+    """The Petersen graph GP(5,2) and the pentagonal prism GP(5,1) have no
+    triangle, LP bound 5 and optimum 6; a packed 5-cycle credits 3, and the
+    other 5-cycle's LP bound credits 3 more."""
+    outer = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    for step in (2, 1):
+        g = Graph.from_edges(outer + [(5 + i, 5 + (i + step) % 5) for i in range(5)])
+        assert lp_lower_bound(g) == 5 and min_vc_bruteforce(g)[0] == 6, step
+        assert not lp_exceeds(g, 5) and not triangle_only_exceeds(g, 5), step
+        assert [len(c) for c in _odd_cycle_packing(g.adjacency(), 1)] == [5], step
+        assert packing_exceeds(g, 5), step
