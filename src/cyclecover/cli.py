@@ -59,6 +59,7 @@ def _stats_doc(stats: SearchStats, k: int) -> dict:
         "k_exhausted_leaves": stats.k_exhausted_leaves,
         "lp_prunes": stats.lp_prunes,
         "packing_prunes": stats.packing_prunes,
+        "late_packing_prunes": stats.late_packing_prunes,
         "envelope_1_15855": report["envelope_1_15855"],
         "envelope_1_1504": report["envelope_1_1504"],
     }

@@ -148,9 +148,6 @@ class Graph:
         except KeyError:
             return self._require(v)  # raises for an id not live
 
-    def closed_neighborhood(self, v: int) -> set[int]:
-        return self._require(v) | {v}
-
     def vertices(self) -> Iterator[int]:
         return iter(self._adj)
 
@@ -210,10 +207,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.num_components() <= 1
 
-    def is_forest(self) -> bool:
-        # acyclic iff m = n - c
-        return self._m == len(self._adj) - self.num_components()
-
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = set(keep)
         sub = Graph()
@@ -230,22 +223,6 @@ class Graph:
         g._m = self._m
         g.touched = None if self.touched is None else set(self.touched)
         return g
-
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges())
-
-    def check_invariants(self) -> None:
-        """Symmetry and the degree-sum identity; raises AssertionError."""
-        total = 0
-        for u, nbrs in self._adj.items():
-            if u in nbrs:
-                raise AssertionError(f"self-loop at {u}")
-            for v in nbrs:
-                if u not in self._adj.get(v, ()):
-                    raise AssertionError(f"asymmetric edge {{{u}, {v}}}")
-            total += len(nbrs)
-        if total != 2 * self._m:
-            raise AssertionError(f"degree sum {total} != 2m = {2 * self._m}")
 
     def _require(self, v: int) -> set[int]:
         try:

@@ -40,7 +40,12 @@ gave up without a matching on 512 of their 768 checks; the packing itself
 is about 28 us. The stronger bound leaves 507 checks, and the decides run
 about 11% faster. Skipping triangle-free vertices with a per-vertex
 ``all(map(...))`` test in place of the plain triangle loop was slower. The
-gate stays at need <= 2: without it the decides took 30-45% longer.
+caller gates the need, the number of cycles a prune takes: the search packs
+up to two before a node's reductions and up to four after them
+(``search.EARLY_PACKING_MOST``, ``LATE_PACKING_MOST``). Against need <= 2
+at both, that cut the benchmark's ``cubic`` nodes by 15% at flat times;
+need <= 4 at both cost 4-6% more time. With no gate the decides took
+30-45% longer.
 """
 
 from __future__ import annotations
@@ -294,7 +299,7 @@ def _odd_cycle(adj: Mapping[int, set[int]], root: int, used: set[int]) -> tuple[
     return None
 
 
-def packing_exceeds(g: Graph, cap: int) -> bool:
+def packing_exceeds(g: Graph, cap: int, most: int) -> bool:
     """Whether sum((|C| + 1) / 2) + LP(g - C) > cap for a packing C of
     disjoint odd cycles: a cover holds (|C| + 1) / 2 vertices of an odd cycle
     C, and it covers g - C.
@@ -302,14 +307,16 @@ def packing_exceeds(g: Graph, cap: int) -> bool:
     LP(g) <= n/2 and LP(g - C) <= (n - |C|)/2, so t packed cycles lift the
     bound by at most t/2 above n/2: it can exceed cap only once t reaches
     need = 2 * cap - n + 1, and packing stops there. The check runs only
-    where need is 1 or 2, that is cap = ceil(n/2): where the LP bound, which
-    ``lp_exceeds`` tests, can at most tie the budget. The remainder's
-    matching then has to be perfect (the target is its vertex count), so the
-    early exit gives up at the first left copy it proves unmatchable.
+    where 1 <= need <= most. From need 1 up, the LP bound, which
+    ``lp_exceeds`` tests, can at most tie the budget; most is the largest
+    need the caller will pay a packing for. The bound holds at any need.
+    The remainder's matching has to be perfect (the target is its vertex
+    count), so the early exit gives up at the first left copy it proves
+    unmatchable.
     """
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
-    if not 1 <= need <= 2:
+    if not 1 <= need <= most:
         return False
     packed = _odd_cycle_packing(adj, need)
     if len(packed) < need:

@@ -28,12 +28,13 @@ input the matching would run to the end only to answer no. A component child
 makes it only when the bound ``_solve_components`` has already computed
 exceeds the child's budget; otherwise the answer would be no.
 
-Where the LP bound can at most tie the budget, cap = ceil(n/2), both checks
-go on to an odd-cycle packing bound (``packing_exceeds``: (|C| + 1) / 2
+Where the LP bound can at most tie the budget, cap >= n/2, both checks go
+on to an odd-cycle packing bound (``packing_exceeds``: (|C| + 1) / 2
 vertices of each of t disjoint odd cycles C, triangles first, plus the LP
-bound of the rest), a gate that follows from n and cap alone. On reduced
-cubic-like graphs the LP bound is almost always ceil(n/2), so this bound
-prunes where the LP check cannot.
+bound of the rest). It can prune only with need = 2 * cap - n + 1 cycles
+packed; the check before the reductions tries need <= 2, the one after
+them need <= 4. On reduced cubic-like graphs the LP bound is almost always
+ceil(n/2), so this bound prunes where the LP check cannot.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -67,6 +68,12 @@ from .selection import select
 from .structure import circuit_rank
 from .treecover import min_vc_forest
 
+# The largest need (2 * cap - n + 1) a node packs odd cycles for, before its
+# reductions and after them. Before: a failed check is repeated after the
+# reductions at the same or a lower need, so it is kept cheap.
+EARLY_PACKING_MOST = 2
+# After: it is the node's last bound before it branches or splits.
+LATE_PACKING_MOST = 4
 ENVELOPE_BASE_PLAIN = 1.15855
 ENVELOPE_BASE_INTERLEAVED = 1.1504
 NODE_BUDGET = 10**8
@@ -80,6 +87,7 @@ class SearchStats:
     k_exhausted_leaves: int = 0
     lp_prunes: int = 0
     packing_prunes: int = 0
+    late_packing_prunes: int = 0
     tau_root: int = 0
 
 
@@ -113,7 +121,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if lp_first and _bound_exceeds(g, cap, stats):
+    if lp_first and _bound_exceeds(g, cap, stats, late=False):
         return None
 
     trace = ReductionTrace()
@@ -125,7 +133,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
     if g.num_edges() == 0:  # the empty graph; perfbench counts treecover calls
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
-    elif _bound_exceeds(g, cap, stats):
+    elif _bound_exceeds(g, cap, stats, late=True):
         return None
     elif not g.is_connected():
         r = yield from _solve_components(g, g.connected_components(), cap, stats)
@@ -154,13 +162,16 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
     return trace.k_delta + size, lift_cover(trace, cover)
 
 
-def _bound_exceeds(g: Graph, cap: int, stats: SearchStats) -> bool:
+def _bound_exceeds(g: Graph, cap: int, stats: SearchStats, late: bool) -> bool:
     """Whether a lower bound on g's covers exceeds cap: the LP bound, or,
-    where that can at most tie cap, odd-cycle packing. Counts the prune."""
+    where that can at most tie cap, odd-cycle packing, up to need
+    LATE_PACKING_MOST after a node's reductions (late) and
+    EARLY_PACKING_MOST before them. Counts the prune."""
     if lp_exceeds(g, cap):
         stats.lp_prunes += 1
-    elif packing_exceeds(g, cap):
+    elif packing_exceeds(g, cap, LATE_PACKING_MOST if late else EARLY_PACKING_MOST):
         stats.packing_prunes += 1
+        stats.late_packing_prunes += late
     else:
         return False
     stats.k_exhausted_leaves += 1

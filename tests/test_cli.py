@@ -70,11 +70,13 @@ def test_minimize_emits_stats_and_cover():
     assert doc["stats"]["k_exhausted_leaves"] == stats.k_exhausted_leaves > 0
     assert doc["stats"]["lp_prunes"] == stats.lp_prunes
     assert doc["stats"]["packing_prunes"] == stats.packing_prunes == 1  # a 5-cycle and the LP of the other, at the root
+    assert doc["stats"]["late_packing_prunes"] == stats.late_packing_prunes == 1  # the root's check follows its reductions
     text = emit_dimacs(generate("cubic", 60, 1))
     code, doc = run_doc(["solve", "-", "--k", "33"], text)
     assert code == 0 and doc["answer"] == "NO"
     stats = vc_decide(parse_dimacs(text), 33).stats
     assert doc["stats"]["packing_prunes"] == stats.packing_prunes > 0
+    assert 0 < doc["stats"]["late_packing_prunes"] == stats.late_packing_prunes < stats.packing_prunes
     assert doc["stats"]["lp_prunes"] == stats.lp_prunes > 0
     assert doc["stats"]["k_exhausted_leaves"] == stats.k_exhausted_leaves
 

@@ -6,6 +6,7 @@ from cyclecover.graph import Graph
 from cyclecover.reductions import DeleteIsolated, Include, ReductionTrace, fold_degree2
 
 from conftest import gnp
+from graph_checks import check_invariants, edge_set, is_forest
 
 
 def test_from_edges_builds_and_dedups():
@@ -30,7 +31,7 @@ def test_remove_vertex_cleans_edges():
     assert g.num_edges() == 1
     assert not g.has_vertex(1)
     assert g.degree(0) == 1
-    g.check_invariants()
+    check_invariants(g)
 
 
 def test_fold_rehomes_and_drops_parallels():
@@ -40,7 +41,7 @@ def test_fold_rehomes_and_drops_parallels():
     assert not g.has_vertex(9) and not g.has_vertex(0)
     assert g.has_edge(1, 2) and g.has_edge(1, 3)
     assert g.num_edges() == 2
-    g.check_invariants()
+    check_invariants(g)
 
 
 def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
@@ -52,7 +53,7 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     for bad in ((2, 0, 1), (3, 2, 4), (7, 0, 1), (0, 1, 3), (3, 2, 2)):
         with pytest.raises(ValueError, match="degree-2 vertex"):
             g.fold(*bad)
-    assert g.edge_set() == Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]).edge_set()
+    assert edge_set(g) == edge_set(Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]))
     assert g.touched == set()
     trace = ReductionTrace()
     assert fold_degree2(g, 0, trace) == {3}
@@ -91,10 +92,10 @@ def test_fold_matches_two_step_reference():
             contract_by_edge_moves(ref, r, s)
             assert g.fold(u, s, r) == common
             assert set(g.vertices()) == set(ref.vertices())
-            assert g.edge_set() == ref.edge_set() and g.num_edges() == ref.num_edges()
+            assert edge_set(g) == edge_set(ref) and g.num_edges() == ref.num_edges()
             live = set(g.vertices())
             assert g.touched & live == ref.touched & live == {r} | (base.neighbors(s) - {u})
-            g.check_invariants()
+            check_invariants(g)
             folds += 1
     assert folds >= 300
 
@@ -109,12 +110,12 @@ def test_components_ordered_by_minimum_member():
 
 def test_is_forest_and_connected():
     tree = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
-    assert tree.is_forest() and tree.is_connected()
+    assert is_forest(tree) and tree.is_connected()
     cyc = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
-    assert not cyc.is_forest()
+    assert not is_forest(cyc)
     two = Graph.from_edges([(0, 1), (2, 3)])
-    assert two.is_forest() and not two.is_connected()
-    assert Graph().is_forest()
+    assert is_forest(two) and not two.is_connected()
+    assert is_forest(Graph())
 
 
 def test_edges_normalized():
@@ -197,6 +198,6 @@ def test_invariants_hold_under_random_mutation():
             if foldable:
                 u = rng.choice(foldable)
                 g.fold(u, *sorted(g.neighbors(u)))
-        g.check_invariants()
+        check_invariants(g)
         assert g.num_components() == len(g.connected_components())
     assert g.num_vertices() >= 0

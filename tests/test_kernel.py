@@ -229,25 +229,35 @@ def test_lp_exceeds_on_a_crown():
         assert lp_exceeds(g, cap) == (cap < 3), cap
 
 
+def packing_exceeds_within_the_optimum(g, opt, cap, tag):
+    """packing_exceeds at most = 2 and at most = 4, checked against the
+    optimum; a gate that lets more needs through keeps every prune of the
+    narrower one."""
+    narrow, wide = packing_exceeds(g, cap, 2), packing_exceeds(g, cap, 4)
+    assert not narrow or wide, tag
+    assert not wide or opt > cap, tag
+    return narrow, wide
+
+
 def test_packing_bound_never_exceeds_the_optimum():
-    pruned = 0
+    pruned = deep = 0
     for seed in range(300):
         rng = random.Random(seed)
         n = rng.randrange(8, 23)
         g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=6 * n)
         opt = min_vc_bruteforce(g)[0]
         for cap in range(-1, n + 2):
-            if packing_exceeds(g, cap):
-                assert opt > cap, (seed, cap)
-                pruned += 1
-    assert pruned >= 150  # the bound does fire on these graphs
+            narrow, wide = packing_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
+            pruned += narrow
+            deep += wide and not narrow
+    assert pruned >= 150 and deep >= 25  # the bound does fire on these graphs; 195 and 36 seen
 
 
 def test_packing_bound_lifts_the_prism_above_its_lp_bound():
     # two triangles joined by a matching: LP 3, optimum 4
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
-    assert not lp_exceeds(g, 3) and packing_exceeds(g, 3)
+    assert not lp_exceeds(g, 3) and packing_exceeds(g, 3, 2)
 
 
 def test_packing_bound_never_prunes_a_bipartite_graph():
@@ -260,7 +270,7 @@ def test_packing_bound_never_prunes_a_bipartite_graph():
         opt = min_vc_bruteforce(g)[0]
         assert lp_lower_bound(g) == opt
         for cap in range(-1, g.num_vertices() + 2):
-            assert not packing_exceeds(g, cap), cap
+            assert not packing_exceeds(g, cap, 4), cap
 
 
 def is_bipartite(g):
@@ -283,8 +293,8 @@ def is_bipartite(g):
 def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
     """The check matches the double cover of g - C without building it;
     it must answer as the LP bound of the induced subgraph does, with
-    (|C| + 1) / 2 for each packed odd cycle C."""
-    compared = cycles = 0
+    (|C| + 1) / 2 for each packed odd cycle C, wherever 1 <= need <= most."""
+    compared = deep = cycles = 0
     for seed in range(200):
         rng = random.Random(seed)
         n = rng.randrange(6, 41)
@@ -295,7 +305,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
         for cap in range(-1, n + 2):
             need = 2 * cap - n + 1
             want = False
-            if 1 <= need <= 2:
+            if 1 <= need <= 4:
                 packed = _odd_cycle_packing(g.adjacency(), need)
                 assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
                 for c in packed:
@@ -305,19 +315,21 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
                 rest = g.induced_subgraph(set(g.vertices()).difference(*packed))
                 if len(packed) == need:
                     want = sum((len(c) + 1) // 2 for c in packed) + lp_lower_bound(rest) > cap
-                    compared += 1
+                    compared += need <= 2
+                    deep += need > 2
                 else:  # no odd cycle left among the unpacked vertices
                     assert is_bipartite(rest), seed
-            assert packing_exceeds(g, cap) == want, (seed, cap)
-    assert compared >= 100 and cycles >= 30
+            for most in (2, 4):
+                assert packing_exceeds(g, cap, most) == (want and need <= most), (seed, cap, most)
+    assert compared >= 100 and deep >= 70 and cycles >= 30
 
 
-def triangle_only_exceeds(g, cap):
+def triangle_only_exceeds(g, cap, most):
     """The bound with triangles alone: 2t + LP(g - T) > cap for the greedy
-    triangles the packing takes first, in the same order."""
+    triangles the packing takes first, in the same order, at need <= most."""
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
-    if not 1 <= need <= 2:
+    if not 1 <= need <= most:
         return False
     used = set()
     for v, nv in adj.items():
@@ -337,7 +349,8 @@ def test_odd_cycles_prune_wherever_triangles_alone_prune():
     """Odd cycles are packed only where triangles run out, so every prune of
     the triangle bound stays; degree-capped graphs have triangles to pack,
     cubic ones few."""
-    pruned = lifted = 0
+    pruned = {2: 0, 4: 0}
+    lifted = {2: 0, 4: 0}
     for seed in range(300):
         rng = random.Random(seed)
         n = rng.randrange(6, 41, 2)
@@ -346,18 +359,20 @@ def test_odd_cycles_prune_wherever_triangles_alone_prune():
         else:
             g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((3, 6)) * n)
         for cap in range(-1, n + 2):
-            if triangle_only_exceeds(g, cap):
-                assert packing_exceeds(g, cap), (seed, cap)
-                pruned += 1
-            elif packing_exceeds(g, cap):
-                lifted += 1
-    assert pruned >= 150 and lifted >= 20
+            for most in (2, 4):
+                if triangle_only_exceeds(g, cap, most):
+                    assert packing_exceeds(g, cap, most), (seed, cap, most)
+                    pruned[most] += 1
+                elif packing_exceeds(g, cap, most):
+                    lifted[most] += 1
+    assert pruned[2] >= 150 and lifted[2] >= 20
+    assert pruned[4] - pruned[2] >= 30 and lifted[4] - lifted[2] >= 25  # 43 and 37 seen
 
 
 def test_packing_bound_never_exceeds_the_optimum_on_sparse_triangles():
     """Random cubic graphs have few triangles, so most prunes here come
     from longer odd cycles."""
-    pruned = by_cycles = 0
+    pruned = by_cycles = deep = 0
     for seed in range(1500):
         rng = random.Random(seed)
         g = generate("cubic", rng.randrange(10, 27, 2), seed)
@@ -366,11 +381,12 @@ def test_packing_bound_never_exceeds_the_optimum_on_sparse_triangles():
         n = g.num_vertices()
         opt = min_vc_bruteforce(g)[0]
         for cap in range(-1, n + 2):
-            if packing_exceeds(g, cap):
-                assert opt > cap, (seed, cap)
+            narrow, wide = packing_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
+            deep += wide and not narrow
+            if narrow:
                 pruned += 1
                 by_cycles += any(len(c) > 3 for c in _odd_cycle_packing(g.adjacency(), 2 * cap - n + 1))
-    assert pruned >= 700 and by_cycles >= 150
+    assert pruned >= 700 and by_cycles >= 150 and deep >= 40  # 55 seen at need 3-4
 
 
 def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():
@@ -381,6 +397,17 @@ def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():
     for step in (2, 1):
         g = Graph.from_edges(outer + [(5 + i, 5 + (i + step) % 5) for i in range(5)])
         assert lp_lower_bound(g) == 5 and min_vc_bruteforce(g)[0] == 6, step
-        assert not lp_exceeds(g, 5) and not triangle_only_exceeds(g, 5), step
+        assert not lp_exceeds(g, 5) and not triangle_only_exceeds(g, 5, 2), step
         assert [len(c) for c in _odd_cycle_packing(g.adjacency(), 1)] == [5], step
-        assert packing_exceeds(g, 5), step
+        assert packing_exceeds(g, 5, 2), step
+
+
+def test_packing_bound_needs_three_cycles_on_four_pentagons():
+    """Four disjoint 5-cycles: LP 10, optimum 12. Cap 11 is need 3, so three
+    packed 5-cycles (9) plus the fourth's LP bound (3) prune it, but only a
+    gate that reaches need 3."""
+    g = Graph.from_edges((5 * j + i, 5 * j + (i + 1) % 5) for j in range(4) for i in range(5))
+    assert lp_lower_bound(g) == 10 and min_vc_bruteforce(g)[0] == 12
+    assert not lp_exceeds(g, 11) and not packing_exceeds(g, 11, 2)
+    assert packing_exceeds(g, 11, 4) and packing_exceeds(g, 11, 3)
+    assert not packing_exceeds(g, 12, 4)

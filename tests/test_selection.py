@@ -14,6 +14,7 @@ from cyclecover.selection import (
 )
 
 from conftest import gnp, mixed_instance
+from graph_checks import closed_neighborhood
 
 
 def prism():
@@ -83,7 +84,7 @@ def test_mirror_needs_a_clique_remainder():
 def mirrors_by_definition(g, v):
     """Reference: the vertices at distance two whose N(v) - N(u) is pairwise
     adjacent."""
-    near = g.closed_neighborhood(v)
+    near = closed_neighborhood(g, v)
     second = {u for w in g.neighbors(v) for u in g.neighbors(w)} - near
     found = set()
     for u in second:

@@ -17,6 +17,7 @@ from cyclecover.structure import (
 )
 
 from conftest import mixed_instance
+from graph_checks import is_forest
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]),
@@ -84,7 +85,7 @@ def test_strip_preserves_tau_and_min_degree(edges):
 @settings(max_examples=150, deadline=None)
 def test_tau_zero_iff_forest(edges):
     g = Graph.from_edges(edges)
-    assert (tau(g) == 0) == g.is_forest()
+    assert (tau(g) == 0) == is_forest(g)
 
 
 @given(st.integers(0, 10**6))
