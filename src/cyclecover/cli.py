@@ -20,7 +20,6 @@ from .generators import MODELS, generate
 from .graph import Graph
 from .kernel import nt_kernelize
 from .oracle import is_vertex_cover, min_vc_bruteforce
-from .reductions import ReductionTrace
 from .search import (
     ENVELOPE_BASE_INTERLEAVED,
     ENVELOPE_BASE_PLAIN,
@@ -109,9 +108,7 @@ def _cmd_minimize(args, warnings):
 
 def _cmd_kernelize(args, warnings):
     g = parse_dimacs(_read_input(args.graph), warnings)
-    work = g.clone()
-    trace = ReductionTrace()
-    result = nt_kernelize(work, args.k, trace)
+    result = nt_kernelize(g, args.k)
     part = result.partition
     return _doc(
         "kernelize",
@@ -121,7 +118,7 @@ def _cmd_kernelize(args, warnings):
         kernel_dimacs=emit_dimacs(result.kernel) if result.feasible else None,
         k_residual=result.k_residual,
         feasible=result.feasible,
-        lp_value=result.lp_times_two / 2.0,
+        lp_value=result.lp_value,
         partition={
             "ones": sorted(part.ones),
             "zeros": sorted(part.zeros),

@@ -10,13 +10,13 @@ and the halves induce the kernel, which has at most 2k vertices or the answer
 is NO.
 
 One matching routine serves every caller. ``lp_lower_bound`` and
-``nt_kernelize`` ask it for the maximum; ``lp_exceeds``, which the search
-calls at almost every node, and ``packing_exceeds`` (below) hand it a target
-and get their answer as soon as it is known. It matches greedily, then runs
-one phase of free depth-first searches (Kuhn) and then Hopcroft-Karp's
-BFS-layered phases. Most of the search's checks end in the free phase,
-without a BFS, and the layered phases keep Hopcroft-Karp's O(m sqrt n)
-bound on large inputs, where repeated free searches alone grow quadratic.
+``nt_kernelize`` ask it for the maximum; ``bound_exceeds``, which the search
+calls at almost every node, hands it a target and gets its answer as soon as
+it is known. It matches greedily, then runs one phase of free depth-first
+searches (Kuhn) and then Hopcroft-Karp's BFS-layered phases. Most of the
+search's checks end in the free phase, without a BFS, and the layered phases
+keep Hopcroft-Karp's O(m sqrt n) bound on large inputs, where repeated free
+searches alone grow quadratic.
 Per call, against plain Hopcroft-Karp, on one 2-vCPU host (the first two
 on the benchmark's seed-1 corpora):
 - the search's checks on ``cubic``: 20 us, against 76 us for Hopcroft-Karp
@@ -27,25 +27,25 @@ on the benchmark's seed-1 corpora):
 It loses where Hopcroft-Karp's first greedy pass, in sorted order, happens
 to be perfect: on a 100 x 100 grid numbered row by row, 162 ms against 21 ms.
 
-``packing_exceeds`` lifts the LP bound where it can at most tie the budget.
-A cover holds (|C| + 1) / 2 vertices of each of t disjoint odd cycles C and
-covers the rest R, so VC(G) >= sum (|C| + 1) / 2 + LP(R), in the spirit of
-the clique-cover and cycle-cover bounds of Akiba & Iwata (TCS 2016). It packs
-triangles greedily and, where they run out, the odd cycles a BFS over the
-free vertices closes, and it matches the double cover of R read off an
-adjacency mapping, without building a ``Graph``. On the benchmark's seed-1
-``cubic`` corpus, decide at opt - 1 on one 2-vCPU host, a check that gets
-past its gate takes 73-86 us, against 30-47 us with triangles alone, which
-gave up without a matching on 512 of their 768 checks; the packing itself
-is about 28 us. The stronger bound leaves 507 checks, and the decides run
-about 11% faster. Skipping triangle-free vertices with a per-vertex
-``all(map(...))`` test in place of the plain triangle loop was slower. The
-caller gates the need, the number of cycles a prune takes: the search packs
-up to two before a node's reductions and up to four after them
-(``search.EARLY_PACKING_MOST``, ``LATE_PACKING_MOST``). Against need <= 2
-at both, that cut the benchmark's ``cubic`` nodes by 15% at flat times;
-need <= 4 at both cost 4-6% more time. With no gate the decides took
-30-45% longer.
+``bound_exceeds`` is the search's one lower-bound check. Where the LP bound
+can at most tie the budget it lifts it: a cover holds (|C| + 1) / 2 vertices
+of each of t disjoint odd cycles C and covers the rest R, so VC(G) >= sum
+(|C| + 1) / 2 + LP(R), in the spirit of the clique-cover and cycle-cover
+bounds of Akiba & Iwata (TCS 2016). It packs triangles greedily and, where
+they run out, the odd cycles a BFS over the free vertices closes, and it
+matches the double cover of R read off an adjacency mapping, without
+building a ``Graph``. On the benchmark's seed-1 ``cubic`` corpus, decide at
+opt - 1 on one 2-vCPU host, a check that packs takes 73-86 us, against
+30-47 us with triangles alone, which gave up without a matching on 512 of
+their 768 checks; the packing itself is about 28 us. The stronger bound
+leaves 507 checks, and the decides run about 11% faster. Skipping
+triangle-free vertices with a per-vertex ``all(map(...))`` test in place of
+the plain triangle loop was slower. The caller gates the need, the number
+of cycles a prune takes: the search packs up to two before a node's
+reductions and up to four after them (``search.EARLY_PACKING_MOST``,
+``LATE_PACKING_MOST``). Against need <= 2 at both, that cut the benchmark's
+``cubic`` nodes by 15% at flat times; need <= 4 at both cost 4-6% more
+time. With no gate the decides took 30-45% longer.
 """
 
 from __future__ import annotations
@@ -222,14 +222,6 @@ def lp_lower_bound(g: Graph) -> int:
     return (_double_cover_matching(g.adjacency())[0] + 1) // 2
 
 
-def lp_exceeds(g: Graph, cap: int) -> bool:
-    """Whether lp_lower_bound(g) > cap: does the double cover have a matching
-    of 2 * cap + 1 edges? Stops as soon as the answer is known, and at once
-    when g has fewer than 2 * cap + 1 vertices."""
-    target = 2 * cap + 1
-    return g.num_vertices() >= target and _double_cover_matching(g.adjacency(), target)[0] >= target
-
-
 def _odd_cycle_packing(adj: Mapping[int, set[int]], need: int) -> list[tuple[int, ...]]:
     """Up to need >= 1 vertex-disjoint odd cycles of the graph with adjacency
     adj.
@@ -299,36 +291,35 @@ def _odd_cycle(adj: Mapping[int, set[int]], root: int, used: set[int]) -> tuple[
     return None
 
 
-def packing_exceeds(g: Graph, cap: int, most: int) -> bool:
-    """Whether sum((|C| + 1) / 2) + LP(g - C) > cap for a packing C of
-    disjoint odd cycles: a cover holds (|C| + 1) / 2 vertices of an odd cycle
-    C, and it covers g - C.
-
-    LP(g) <= n/2 and LP(g - C) <= (n - |C|)/2, so t packed cycles lift the
-    bound by at most t/2 above n/2: it can exceed cap only once t reaches
-    need = 2 * cap - n + 1, and packing stops there. The check runs only
-    where 1 <= need <= most. From need 1 up, the LP bound, which
-    ``lp_exceeds`` tests, can at most tie the budget; most is the largest
-    need the caller will pay a packing for. The bound holds at any need.
-    The remainder's matching has to be perfect (the target is its vertex
-    count), so the early exit gives up at the first left copy it proves
-    unmatchable.
+def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
+    """Whether a lower bound on g's covers exceeds cap. Where need =
+    2 * cap - n + 1 <= 0 the bound is lp_lower_bound(g). From need 1 up,
+    where the LP bound can at most tie cap, it is sum((|C| + 1) / 2) +
+    LP(g - C) for need packed disjoint odd cycles C; since LP(g - C) <=
+    (n - |C|) / 2, fewer cycles could not exceed cap. Above need most, the
+    largest need the caller will pay a packing for, the answer is False.
+    The matching stops once it knows the answer; after a packing its target
+    is the rest's vertex count, so it gives up at the first left copy it
+    proves unmatchable.
     """
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
-    if not 1 <= need <= most:
+    if need > most:
         return False
-    packed = _odd_cycle_packing(adj, need)
-    if len(packed) < need:
-        return False
-    out = set().union(*packed)
-    rest = dict(adj)
-    for v in out:
-        del rest[v]
-    for w in set().union(*map(adj.__getitem__, out)) - out:  # only they lose edges
-        rest[w] = adj[w] - out
-    target = 2 * (cap - sum((len(c) + 1) // 2 for c in packed)) + 1  # = len(rest)
-    return _double_cover_matching(rest, target)[0] >= target
+    if need >= 1:
+        packed = _odd_cycle_packing(adj, need)
+        if len(packed) < need:
+            return False
+        out = set().union(*packed)
+        rest = dict(adj)
+        for v in out:
+            del rest[v]
+        for w in set().union(*map(adj.__getitem__, out)) - out:  # only they lose edges
+            rest[w] = adj[w] - out
+        adj = rest
+        cap -= sum((len(c) + 1) // 2 for c in packed)
+    target = 2 * cap + 1
+    return _double_cover_matching(adj, target)[0] >= target
 
 
 def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> KernelResult:

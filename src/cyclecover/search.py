@@ -4,7 +4,7 @@ One node procedure serves both entry points. A node reduces to
 minimum degree 3 with no unconfined vertex near what its parent deleted
 (an unconfined vertex lies in some minimum cover, and dominating vertices
 are among them), answers the empty graph (the only forest reductions leave)
-with the linear forest solver, prunes when the LP lower bound exceeds the
+with the linear forest solver, prunes when a lower bound exceeds the
 budget, splits into components (solved independently to their minima), and
 otherwise branches on a selected vertex v: include v with its mirrors, or
 exclude v by taking its whole neighborhood. Some minimum cover falls in one
@@ -15,26 +15,23 @@ covers refer to the reduced graph: a node charges the reductions' cost once
 and lifts its cover through the reduction trace once, on the way out.
 
 The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
-feasible), so ``lp_exceeds`` runs a matching only when ceil(n/2) could exceed
-the budget, and it stops once it knows whether the LP bound does. Every node
-checks the bound after its reductions; that check is at least as strong as
-the Nemhauser-Trotter kernel's infeasibility test before them, so the search
-runs no NT kernel. A branch child checks it before its reductions as well
-(``lp_first``): every rule keeps LP(G) <= LP(G') + cost, so a graph that
-check prunes would be pruned after its reductions too, and the reductions are
-skipped. Most pruned leaves end there. The root skips the early check,
-because reductions shrink a handed-in graph first, and on a large sparse
-input the matching would run to the end only to answer no. A component child
-makes it only when the bound ``_solve_components`` has already computed
-exceeds the child's budget; otherwise the answer would be no.
-
-Where the LP bound can at most tie the budget, cap >= n/2, both checks go
-on to an odd-cycle packing bound (``packing_exceeds``: (|C| + 1) / 2
-vertices of each of t disjoint odd cycles C, triangles first, plus the LP
-bound of the rest). It can prune only with need = 2 * cap - n + 1 cycles
-packed; the check before the reductions tries need <= 2, the one after
-them need <= 4. On reduced cubic-like graphs the LP bound is almost always
-ceil(n/2), so this bound prunes where the LP check cannot.
+feasible). Where the LP bound can at most tie the budget, cap >= n/2, an
+odd-cycle packing bound lifts it: (|C| + 1) / 2 vertices of each of t
+disjoint odd cycles C, triangles first, plus the LP bound of the rest. It
+can prune only with need = 2 * cap - n + 1 cycles packed, and on reduced
+cubic-like graphs, whose LP bound is almost always ceil(n/2), it prunes
+where the LP bound cannot. One kernel call, ``bound_exceeds``, checks
+whichever bound applies and stops once it knows the answer. Every node
+checks after its reductions, packing up to need 4; that check is at least
+as strong as the Nemhauser-Trotter kernel's infeasibility test before them,
+so the search runs no NT kernel. A node whose graph carries marks
+(``Graph.touched``, below), that is every branch and component child, also
+checks before its reductions, packing up to need 2: every rule keeps
+LP(G) <= LP(G') + cost, so a graph the LP check prunes would be pruned
+after its reductions too, and the reductions are skipped. Most pruned
+leaves end there. The root, whose marks the engine clears, skips the early
+check, because reductions shrink a handed-in graph first, and on a large
+sparse input the matching would run to the end only to answer no.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -61,7 +58,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .graph import Graph
-from .kernel import lp_exceeds, lp_lower_bound, packing_exceeds
+from .kernel import bound_exceeds, lp_lower_bound
 from .oracle import is_vertex_cover
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .selection import select
@@ -100,18 +97,18 @@ class Verdict:
 
 
 _Result = tuple[int, set[int]] | None
-# a node yields each child as (graph, cap, first_fit, lp_first) and is sent
-# its result
-_Node = Generator[tuple[Graph, int, bool, bool], _Result, _Result]
+# a node yields each child as (graph, cap, first_fit) and is sent its result
+_Node = Generator[tuple[Graph, int, bool], _Result, _Result]
 
 
-def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stats: SearchStats) -> _Node:
+def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) -> _Node:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
-    mode returns the exact minimum when it is within cap. lp_first checks the
-    lower bounds before the reductions as well as after them. The result
-    refers to g as handed in; g itself is consumed.
+    mode returns the exact minimum when it is within cap. A g with marks
+    (every child's; the root's are cleared) is checked against the lower
+    bounds before the reductions as well as after them. The result refers
+    to g as handed in; g itself is consumed.
     """
     if stats.nodes_expanded >= budget:
         raise ResourceLimitError(f"node budget {budget} exhausted")
@@ -121,7 +118,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if lp_first and _bound_exceeds(g, cap, stats, late=False):
+    if g.touched is not None and _bound_exceeds(g, cap, stats, late=False):
         return None
 
     trace = ReductionTrace()
@@ -146,7 +143,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
         g_inc = g.clone()
         for u in take:
             g_inc.remove_vertex(u)
-        inc = yield g_inc, cap - len(take), first_fit, True
+        inc = yield g_inc, cap - len(take), first_fit
         if inc is not None:
             size, cover = len(take) + inc[0], inc[1].union(take)
             cap = size - 1  # the exclude branch has to beat it
@@ -154,7 +151,7 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
             nlist = sorted(g.neighbors(plan.vertex))
             for u in (*nlist, plan.vertex):
                 g.remove_vertex(u)
-            exc = yield g, cap - len(nlist), first_fit, True
+            exc = yield g, cap - len(nlist), first_fit
             if exc is not None:
                 size, cover = len(nlist) + exc[0], exc[1].union(nlist)
             elif inc is None:
@@ -163,26 +160,24 @@ def _node(g: Graph, cap: int, first_fit: bool, lp_first: bool, budget: int, stat
 
 
 def _bound_exceeds(g: Graph, cap: int, stats: SearchStats, late: bool) -> bool:
-    """Whether a lower bound on g's covers exceeds cap: the LP bound, or,
-    where that can at most tie cap, odd-cycle packing, up to need
-    LATE_PACKING_MOST after a node's reductions (late) and
-    EARLY_PACKING_MOST before them. Counts the prune."""
-    if lp_exceeds(g, cap):
+    """Whether a lower bound on g's covers exceeds cap, packing odd cycles
+    up to need LATE_PACKING_MOST after a node's reductions (late) and
+    EARLY_PACKING_MOST before them. Counts the prune: an LP prune where
+    need = 2 * cap - n + 1 <= 0, a packing prune otherwise."""
+    if not bound_exceeds(g, cap, LATE_PACKING_MOST if late else EARLY_PACKING_MOST):
+        return False
+    if 2 * cap < g.num_vertices():
         stats.lp_prunes += 1
-    elif packing_exceeds(g, cap, LATE_PACKING_MOST if late else EARLY_PACKING_MOST):
+    else:
         stats.packing_prunes += 1
         stats.late_packing_prunes += late
-    else:
-        return False
     stats.k_exhausted_leaves += 1
     return True
 
 
 def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchStats) -> _Node:
     """Components are independent: their minima add. Each is minimized under
-    the budget left over after lower-bounding the others; it is checked
-    against its LP bound before its reductions only when that bound, already
-    at hand, exceeds its budget."""
+    the budget left over after lower-bounding the others by LP."""
     subs = [g.induced_subgraph(c) for c in comps]
     bounds = [lp_lower_bound(s) for s in subs]
     if sum(bounds) > cap:
@@ -192,7 +187,7 @@ def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchS
     cover: set[int] = set()
     for i, sub in enumerate(subs):
         sub_cap = cap - total - sum(bounds[i + 1 :])
-        r = yield sub, sub_cap, False, bounds[i] > sub_cap
+        r = yield sub, sub_cap, False
         if r is None:
             return None
         total += r[0]
@@ -207,7 +202,7 @@ def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, 
     stats.tau_root = circuit_rank(g)
     root = g.clone()
     root.touched = None  # g's marks vouch only for what a local scan reached
-    stack = [_node(root, cap, first_fit, False, budget, stats)]
+    stack = [_node(root, cap, first_fit, budget, stats)]
     result: _Result = None
     while stack:
         try:

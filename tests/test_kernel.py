@@ -9,10 +9,9 @@ from cyclecover.graph import Graph
 from cyclecover.kernel import (
     _double_cover_matching,
     _odd_cycle_packing,
-    lp_exceeds,
+    bound_exceeds,
     lp_lower_bound,
     nt_kernelize,
-    packing_exceeds,
 )
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import ReductionTrace, lift_cover
@@ -201,7 +200,7 @@ def test_long_cycle_within_default_recursion_limit():
     try:
         g = cycle_graph(5001)
         assert lp_lower_bound(g) == 2501
-        assert lp_exceeds(g, 2500) and not lp_exceeds(g, 2501)
+        assert bound_exceeds(g, 2500, 0) and not bound_exceeds(g, 2501, 0)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -216,7 +215,8 @@ def test_lp_exceeds_is_the_lp_bound_against_the_cap():
             g.remove_vertex(v)
         lp = lp_lower_bound(g)
         for cap in range(g.num_vertices() + 2):
-            assert lp_exceeds(g, cap) == (lp > cap), (seed, cap)
+            assert bound_exceeds(g, cap, 0) == (lp > cap), (seed, cap)
+            assert bound_exceeds(g, cap, 4) or lp <= cap, (seed, cap)
             checked += 1
     assert checked > 1000
 
@@ -226,16 +226,21 @@ def test_lp_exceeds_on_a_crown():
     g = Graph.from_edges((a, b) for a in range(3) for b in range(3, 103))
     assert lp_lower_bound(g) == 3
     for cap in range(g.num_vertices() + 2):
-        assert lp_exceeds(g, cap) == (cap < 3), cap
+        assert bound_exceeds(g, cap, 0) == (cap < 3), cap
 
 
-def packing_exceeds_within_the_optimum(g, opt, cap, tag):
-    """packing_exceeds at most = 2 and at most = 4, checked against the
+def bound_exceeds_within_the_optimum(g, opt, cap, tag):
+    """bound_exceeds at most = 2 and at most = 4, checked against the
     optimum; a gate that lets more needs through keeps every prune of the
-    narrower one."""
-    narrow, wide = packing_exceeds(g, cap, 2), packing_exceeds(g, cap, 4)
+    narrower one. Where need = 2 * cap - n + 1 <= 0 both must be the LP
+    answer; (False, False) is returned there, so callers count only what a
+    packing decides."""
+    narrow, wide = bound_exceeds(g, cap, 2), bound_exceeds(g, cap, 4)
     assert not narrow or wide, tag
     assert not wide or opt > cap, tag
+    if 2 * cap < g.num_vertices():
+        assert narrow == wide == (lp_lower_bound(g) > cap), tag
+        return False, False
     return narrow, wide
 
 
@@ -247,7 +252,7 @@ def test_packing_bound_never_exceeds_the_optimum():
         g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=6 * n)
         opt = min_vc_bruteforce(g)[0]
         for cap in range(-1, n + 2):
-            narrow, wide = packing_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
+            narrow, wide = bound_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
             pruned += narrow
             deep += wide and not narrow
     assert pruned >= 150 and deep >= 25  # the bound does fire on these graphs; 195 and 36 seen
@@ -257,7 +262,7 @@ def test_packing_bound_lifts_the_prism_above_its_lp_bound():
     # two triangles joined by a matching: LP 3, optimum 4
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
-    assert not lp_exceeds(g, 3) and packing_exceeds(g, 3, 2)
+    assert not bound_exceeds(g, 3, 0) and bound_exceeds(g, 3, 2)
 
 
 def test_packing_bound_never_prunes_a_bipartite_graph():
@@ -270,7 +275,7 @@ def test_packing_bound_never_prunes_a_bipartite_graph():
         opt = min_vc_bruteforce(g)[0]
         assert lp_lower_bound(g) == opt
         for cap in range(-1, g.num_vertices() + 2):
-            assert not packing_exceeds(g, cap, 4), cap
+            assert bound_exceeds(g, cap, 4) == (opt > cap), cap
 
 
 def is_bipartite(g):
@@ -293,7 +298,8 @@ def is_bipartite(g):
 def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
     """The check matches the double cover of g - C without building it;
     it must answer as the LP bound of the induced subgraph does, with
-    (|C| + 1) / 2 for each packed odd cycle C, wherever 1 <= need <= most."""
+    (|C| + 1) / 2 for each packed odd cycle C, wherever 1 <= need <= most,
+    and as the LP bound of g wherever need <= 0."""
     compared = deep = cycles = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -304,7 +310,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
         n = g.num_vertices()
         for cap in range(-1, n + 2):
             need = 2 * cap - n + 1
-            want = False
+            want = need <= 0 and lp_lower_bound(g) > cap
             if 1 <= need <= 4:
                 packed = _odd_cycle_packing(g.adjacency(), need)
                 assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
@@ -320,7 +326,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
                 else:  # no odd cycle left among the unpacked vertices
                     assert is_bipartite(rest), seed
             for most in (2, 4):
-                assert packing_exceeds(g, cap, most) == (want and need <= most), (seed, cap, most)
+                assert bound_exceeds(g, cap, most) == (want and need <= most), (seed, cap, most)
     assert compared >= 100 and deep >= 70 and cycles >= 30
 
 
@@ -358,12 +364,16 @@ def test_odd_cycles_prune_wherever_triangles_alone_prune():
             g = generate("cubic", n, seed)
         else:
             g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((3, 6)) * n)
+        lp = lp_lower_bound(g)
         for cap in range(-1, n + 2):
             for most in (2, 4):
-                if triangle_only_exceeds(g, cap, most):
-                    assert packing_exceeds(g, cap, most), (seed, cap, most)
+                exceeds = bound_exceeds(g, cap, most)
+                if 2 * cap < g.num_vertices():  # need <= 0: no packing
+                    assert exceeds == (lp > cap), (seed, cap, most)
+                elif triangle_only_exceeds(g, cap, most):
+                    assert exceeds, (seed, cap, most)
                     pruned[most] += 1
-                elif packing_exceeds(g, cap, most):
+                elif exceeds:
                     lifted[most] += 1
     assert pruned[2] >= 150 and lifted[2] >= 20
     assert pruned[4] - pruned[2] >= 30 and lifted[4] - lifted[2] >= 25  # 43 and 37 seen
@@ -381,7 +391,7 @@ def test_packing_bound_never_exceeds_the_optimum_on_sparse_triangles():
         n = g.num_vertices()
         opt = min_vc_bruteforce(g)[0]
         for cap in range(-1, n + 2):
-            narrow, wide = packing_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
+            narrow, wide = bound_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
             deep += wide and not narrow
             if narrow:
                 pruned += 1
@@ -397,9 +407,9 @@ def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():
     for step in (2, 1):
         g = Graph.from_edges(outer + [(5 + i, 5 + (i + step) % 5) for i in range(5)])
         assert lp_lower_bound(g) == 5 and min_vc_bruteforce(g)[0] == 6, step
-        assert not lp_exceeds(g, 5) and not triangle_only_exceeds(g, 5, 2), step
+        assert not bound_exceeds(g, 5, 0) and not triangle_only_exceeds(g, 5, 2), step
         assert [len(c) for c in _odd_cycle_packing(g.adjacency(), 1)] == [5], step
-        assert packing_exceeds(g, 5, 2), step
+        assert bound_exceeds(g, 5, 2), step
 
 
 def test_packing_bound_needs_three_cycles_on_four_pentagons():
@@ -408,6 +418,6 @@ def test_packing_bound_needs_three_cycles_on_four_pentagons():
     gate that reaches need 3."""
     g = Graph.from_edges((5 * j + i, 5 * j + (i + 1) % 5) for j in range(4) for i in range(5))
     assert lp_lower_bound(g) == 10 and min_vc_bruteforce(g)[0] == 12
-    assert not lp_exceeds(g, 11) and not packing_exceeds(g, 11, 2)
-    assert packing_exceeds(g, 11, 4) and packing_exceeds(g, 11, 3)
-    assert not packing_exceeds(g, 12, 4)
+    assert not bound_exceeds(g, 11, 0) and not bound_exceeds(g, 11, 2)
+    assert bound_exceeds(g, 11, 4) and bound_exceeds(g, 11, 3)
+    assert not bound_exceeds(g, 12, 4)

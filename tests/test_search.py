@@ -169,38 +169,43 @@ def test_lp_check_before_reductions_skips_the_root(monkeypatch):
     assert vc_minimum(g)[0] > k
     root = edge_set(g)
     seen = []
-    real = search.lp_exceeds
+    real = search.bound_exceeds
 
-    def recording(h, cap):
+    def recording(h, cap, most):
         seen.append(edge_set(h))
-        return real(h, cap)
+        return real(h, cap, most)
 
-    monkeypatch.setattr(search, "lp_exceeds", recording)
+    monkeypatch.setattr(search, "bound_exceeds", recording)
     verdict = vc_decide(g, k)
     assert verdict.answer == "NO" and 0 < verdict.stats.lp_prunes <= verdict.stats.k_exhausted_leaves
     assert seen and root not in seen
 
 
-def test_component_children_skip_an_early_check_their_bound_settles(monkeypatch):
-    """A component child's budget is what is left after the other components'
-    LP bounds. When it is at least the child's own bound, an LP check before
-    the child's reductions could only answer no, so only the check after
-    them runs."""
+def test_component_children_check_their_bound_before_their_reductions(monkeypatch):
+    """A component child leaves its parent's reductions with its marks set,
+    so, like a branch child, it is checked against its lower bound before
+    its reductions run."""
     a = generate("cubic", 20, 1)
     g = Graph.from_edges([*a.edges(), *((u + 20, v + 20) for u, v in a.edges())])
-    comps = {frozenset(frozenset(e) for e in a.edges()),
-             frozenset(frozenset((u + 20, v + 20)) for u, v in a.edges())}
+    comps = [frozenset(frozenset(e) for e in a.edges()),
+             frozenset(frozenset((u + 20, v + 20)) for u, v in a.edges())]
     want = 2 * vc_minimum(a)[0]
-    seen = []
-    real = search.lp_exceeds
+    calls = []
+    real_bound, real_reduce = search.bound_exceeds, search.reduce_fixpoint
 
-    def recording(h, cap):
-        seen.append(edge_set(h))
-        return real(h, cap)
+    def bound(h, cap, most):
+        calls.append(("bound", edge_set(h)))
+        return real_bound(h, cap, most)
 
-    monkeypatch.setattr(search, "lp_exceeds", recording)
+    def reduce(h, trace):
+        calls.append(("reduce", edge_set(h)))
+        return real_reduce(h, trace)
+
+    monkeypatch.setattr(search, "bound_exceeds", bound)
+    monkeypatch.setattr(search, "reduce_fixpoint", reduce)
     assert vc_minimum(g)[0] == want
-    assert [seen.count(c) for c in comps] == [1, 1]
+    for c in comps:
+        assert [name for name, edges in calls if edges == c][:2] == ["bound", "reduce"]
 
 
 def test_stats_are_populated():
