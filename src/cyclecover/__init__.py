@@ -19,12 +19,7 @@ from .errors import DimacsParseError, ResourceLimitError
 from .generators import MODELS, generate, petersen_graph
 from .graph import Graph
 from .kernel import KernelResult, NTPartition, lp_lower_bound, nt_kernelize
-from .oracle import (
-    enumerate_simple_cycles,
-    is_vertex_cover,
-    max_real_cycle_bruteforce,
-    min_vc_bruteforce,
-)
+from .oracle import is_vertex_cover, min_vc_bruteforce
 from .reductions import ReductionTrace, lift_cover, reduce_fixpoint
 from .search import (
     SearchStats,
@@ -59,7 +54,6 @@ __all__ = [
     "circuit_rank",
     "emit_cover",
     "emit_dimacs",
-    "enumerate_simple_cycles",
     "extra_degree",
     "extra_degree_graph",
     "generate",
@@ -67,7 +61,6 @@ __all__ = [
     "is_vertex_cover",
     "lift_cover",
     "lp_lower_bound",
-    "max_real_cycle_bruteforce",
     "min_vc_bruteforce",
     "min_vc_forest",
     "nt_kernelize",

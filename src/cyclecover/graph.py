@@ -29,14 +29,21 @@ class Graph:
     nothing. ``reduce_fixpoint`` leaves it empty, copies carry it, and an
     induced subgraph keeps the marks of its vertices and marks each one that
     lost a neighbor.
+
+    ``triangles`` is None, or a superset of the live vertices that lie on a
+    triangle. Deletions may leave members that no longer do, or are no
+    longer live; ``add_edge`` and ``fold`` add the vertices of every
+    triangle they close. ``reduce_fixpoint`` builds it where it is None
+    (``index_triangles``), and copies and induced subgraphs carry it.
     """
 
-    __slots__ = ("_adj", "_m", "touched")
+    __slots__ = ("_adj", "_m", "touched", "triangles")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
         self.touched: set[int] | None = None
+        self.triangles: set[int] | None = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> "Graph":
@@ -73,6 +80,11 @@ class Graph:
             self._m += 1
             if self.touched is not None:
                 self.touched.update((u, v))
+            if self.triangles is not None:
+                closed = self._adj[u] & self._adj[v]
+                if closed:
+                    self.triangles |= closed
+                    self.triangles.update((u, v))
 
     def remove_edge(self, u: int, v: int) -> None:
         if v not in self._adj.get(u, ()):
@@ -100,7 +112,9 @@ class Graph:
 
         Parallel edges collapse. Returns the common neighbors of s and r, the
         vertices whose degree fell. ``touched`` gains r and s's neighbors but
-        u, as deleting u and moving s's edges onto r one by one would.
+        u, as deleting u and moving s's edges onto r one by one would. Every
+        triangle the fold closes holds r and one of s's neighbors w, and
+        ``triangles`` gains its vertices.
         """
         adj = self._adj
         absorbed = adj.get(s)
@@ -120,7 +134,16 @@ class Graph:
         if self.touched is not None:
             self.touched |= absorbed
             self.touched.add(r)
+        if self.triangles is not None:
+            for w in absorbed:
+                if not kept.isdisjoint(adj[w]):
+                    self.triangles |= adj[w] & kept
+                    self.triangles.update((w, r))
         return common
+
+    def index_triangles(self) -> None:
+        """Set ``triangles`` to exactly the vertices on a triangle."""
+        self.triangles = {v for v in self._adj if self.on_triangle(v)}
 
     # queries
 
@@ -140,6 +163,12 @@ class Graph:
         """Live vertex -> neighbor set. Read-only, like ``neighbors``; for
         hot loops that would otherwise pay a method call per lookup."""
         return self._adj
+
+    def on_triangle(self, v: int) -> bool:
+        """Do two neighbors of the live vertex v share an edge?"""
+        adj = self._adj
+        nv = adj[v]
+        return any(not nv.isdisjoint(adj[w]) for w in nv)
 
     def neighbors(self, v: int) -> set[int]:
         """Live neighbor set. Treat as read-only; mutate via graph methods."""
@@ -215,6 +244,8 @@ class Graph:
         if self.touched is not None:
             marks, adj = self.touched, self._adj
             sub.touched = {v for v, ns in sub._adj.items() if v in marks or len(ns) < len(adj[v])}
+        if self.triangles is not None:
+            sub.triangles = self.triangles & keep_set
         return sub
 
     def clone(self) -> "Graph":
@@ -222,6 +253,7 @@ class Graph:
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._m = self._m
         g.touched = None if self.touched is None else set(self.touched)
+        g.triangles = None if self.triangles is None else set(self.triangles)
         return g
 
     def _require(self, v: int) -> set[int]:

@@ -154,6 +154,13 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
     unconfined depends on more than its neighbors, so a change can also free
     a vertex the local scan does not re-examine; missing it costs search
     nodes, never correctness. Always leaves ``g.touched`` empty.
+
+    Of those, the unconfined rule examines only the members of
+    ``g.triangles``, which gives the same answers: at minimum degree 3 each
+    neighbor of a vertex v on no triangle has two or more neighbors outside
+    N[v], so v is confined. Where g has no index, it is built after the
+    first degree-rule pass, which on a large sparse input deletes most of
+    the vertices the build would scan.
     """
     adj = g.adjacency()
     changed = g.touched  # None: every vertex may match a rule
@@ -161,8 +168,10 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
     while True:
         g.touched = None if changed is None else set()
         reduce_low_degree(g, trace, changed)
+        if g.triangles is None:
+            g.index_triangles()
         if changed is None:
-            unchecked = set(adj)
+            unchecked = g.triangles & adj.keys()
         else:
             changed |= g.touched
             for x in changed:
@@ -170,6 +179,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
                 if nbrs is not None:
                     unchecked.add(x)
                     unchecked |= nbrs
+            unchecked &= g.triangles
         g.touched = set()
         v = _first_unconfined(adj, unchecked)
         if v is None:

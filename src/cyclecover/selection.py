@@ -149,7 +149,12 @@ def select(g: Graph) -> BranchPlan:
                 break
         return BranchPlan(vertex=v, mirrors=found, rule_tag=RuleTag.DEGREE4)
     # 3-regular: the exclude estimate ties, so bias toward short cycles; the
-    # lowest id wins ties, so a later vertex must lie on a strictly shorter one
+    # lowest id wins ties, so a later vertex must lie on a strictly shorter one,
+    # and the lowest vertex on a triangle, where there is one, wins outright
+    if g.triangles is not None:
+        for u in sorted(g.triangles):
+            if u in adj and g.on_triangle(u):
+                return BranchPlan(vertex=u, mirrors=mirrors(g, u), rule_tag=RuleTag.DEGREE3_REGULAR)
     v, shortest = -1, len(adj) + 2
     for u in sorted(top):
         length = shortest_cycle_through(g, u, stop=shortest)

@@ -29,3 +29,14 @@ def check_invariants(g: Graph) -> None:
         total += len(nbrs)
     if total != 2 * g.num_edges():
         raise AssertionError(f"degree sum {total} != 2m = {2 * g.num_edges()}")
+
+
+def check_triangle_index(g: Graph) -> None:
+    """Every live vertex on a triangle is in ``g.triangles`` whenever g
+    carries the index; raises AssertionError."""
+    if g.triangles is None:
+        return
+    for v in g.vertices():
+        nbrs = g.neighbors(v)
+        if any(g.neighbors(w) & nbrs for w in nbrs) and v not in g.triangles:
+            raise AssertionError(f"vertex {v} lies on a triangle but is not indexed")

@@ -16,11 +16,7 @@ from cyclecover.dimacs import emit_dimacs
 from cyclecover.generators import generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.kernel import nt_kernelize
-from cyclecover.oracle import (
-    is_vertex_cover,
-    max_real_cycle_bruteforce,
-    min_vc_bruteforce,
-)
+from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.errors import ResourceLimitError
 from cyclecover.reductions import (
     ReductionTrace,
@@ -36,6 +32,7 @@ import contextlib
 import io
 
 from conftest import gnp, mixed_instance
+from cycle_oracle import max_real_cycle_bruteforce
 from graph_checks import is_forest
 
 REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"

@@ -6,7 +6,7 @@ from cyclecover.graph import Graph
 from cyclecover.reductions import DeleteIsolated, Include, ReductionTrace, fold_degree2
 
 from conftest import gnp
-from graph_checks import check_invariants, edge_set, is_forest
+from graph_checks import check_invariants, check_triangle_index, edge_set, is_forest
 
 
 def test_from_edges_builds_and_dedups():
@@ -178,8 +178,12 @@ def test_induced_subgraph_inherits_marks_and_marks_cut_vertices():
 
 
 def test_invariants_hold_under_random_mutation():
-    rng = random.Random(42)
+    """Also on the triangle index, which the graph carries from the start, and
+    on copies and induced subgraphs of it."""
+    rng, pick = random.Random(42), random.Random(43)
     g = gnp(12, 0.3, rng)
+    g.index_triangles()
+    closing_folds = 0
     for step in range(300):
         op = rng.randrange(4)
         verts = sorted(g.vertices())
@@ -197,7 +201,47 @@ def test_invariants_hold_under_random_mutation():
             foldable = [u for u in verts if g.degree(u) == 2 and not g.has_edge(*g.neighbors(u))]
             if foldable:
                 u = rng.choice(foldable)
+                before = on_triangles(g)
                 g.fold(u, *sorted(g.neighbors(u)))
+                closing_folds += not on_triangles(g) <= before
         check_invariants(g)
+        check_triangle_index(g)
+        check_triangle_index(g.clone())
+        live = sorted(g.vertices())
+        check_triangle_index(g.induced_subgraph(pick.sample(live, len(live) // 2)))
         assert g.num_components() == len(g.connected_components())
-    assert g.num_vertices() >= 0
+    assert closing_folds >= 2
+
+
+def on_triangles(g):
+    return {v for v in g.vertices() if g.on_triangle(v)}
+
+
+def test_triangle_index_gains_what_a_mutation_closes():
+    """Folding 0 merges 1 into 2 on the 5-cycle 0-1-3-4-2: the new edge 2-3
+    closes the triangle 2-3-4, whose third vertex 4 was 2's neighbor all
+    along. Adding an edge closes a triangle too."""
+    g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)])
+    g.index_triangles()
+    assert g.triangles == set()
+    g.fold(0, 1, 2)
+    check_triangle_index(g)
+    assert on_triangles(g) == {2, 3, 4}
+
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    g.index_triangles()
+    g.add_edge(0, 2)
+    check_triangle_index(g)
+    assert on_triangles(g) == {0, 1, 2}
+
+
+def test_triangle_index_is_carried_by_copies():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    assert g.clone().triangles is None and g.induced_subgraph([0, 1]).triangles is None
+    g.index_triangles()
+    assert g.triangles == {0, 1, 2}
+    twin = g.clone()
+    assert twin.triangles == g.triangles and twin.triangles is not g.triangles
+    assert g.induced_subgraph([1, 2, 3]).triangles == {1, 2}
+    g.remove_vertex(0)  # 1 and 2 stay as stale members, allowed by the contract
+    check_triangle_index(g)

@@ -6,17 +6,11 @@ import pytest
 from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 from cyclecover.graph import Graph
-from cyclecover.oracle import (
-    BRUTEFORCE_MAX_VERTICES,
-    enumerate_simple_cycles,
-    is_valid_cycle_order,
-    is_vertex_cover,
-    max_real_cycle_bruteforce,
-    min_vc_bruteforce,
-)
+from cyclecover.oracle import BRUTEFORCE_MAX_VERTICES, is_vertex_cover, min_vc_bruteforce
 from cyclecover.structure import tau
 
 from conftest import gnp, mixed_instance
+from cycle_oracle import enumerate_simple_cycles, is_valid_cycle_order, max_real_cycle_bruteforce
 
 
 def naive_min_vc(g):

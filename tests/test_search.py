@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cyclecover.reductions as reductions
 import cyclecover.search as search
 from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
@@ -346,6 +347,31 @@ def test_search_trees_and_certificates_pinned():
                 rows.append(search_fingerprint(verdict.answer, verdict.cover, verdict.stats))
         digest.update(repr(rows).encode())
     assert digest.hexdigest() == SAME_TREE_DIGEST
+
+
+def test_unconfined_scan_runs_at_minimum_degree_three_and_fires_on_triangles(monkeypatch):
+    """The scan examines only indexed vertices, which is exact because it
+    runs once the degree rules have left no vertex below degree 3, and there
+    a vertex on no triangle is confined."""
+    calls, fired = 0, 0
+    real = reductions._first_unconfined
+
+    def checking(adj, unchecked):
+        nonlocal calls, fired
+        calls += 1
+        assert min(map(len, adj.values()), default=3) >= 3
+        v = real(adj, unchecked)
+        if v is not None:
+            fired += 1
+            assert any(adj[v] & adj[w] for w in adj[v]), v
+        return v
+
+    monkeypatch.setattr(reductions, "_first_unconfined", checking)
+    for g in same_tree_corpus():
+        size = vc_minimum(g)[0]
+        if size > 0:
+            vc_decide(g, size - 1)
+    assert calls > 3000 and fired > 1000
 
 
 def test_tau_invariants_hold_at_every_branching(checked_branchings):

@@ -179,7 +179,16 @@ def test_shortest_cycle_matches_per_edge_bfs():
 
 
 def test_cubic_rule_matches_reference_choice():
+    """Also where g carries a triangle index, exact or with members on no
+    triangle, as deletions leave them."""
+    on_triangles = 0
     for seed in range(40):
         g = generate("cubic", 8 + 2 * (seed % 20), seed)
         want = min(sorted(g.vertices()), key=lambda u: (cycle_through_per_edge(g, u), u))
         assert select(g).vertex == want, seed
+        g.index_triangles()
+        assert select(g).vertex == want, seed
+        on_triangles += bool(g.triangles)
+        g.triangles |= set(g.vertices())
+        assert select(g).vertex == want, seed
+    assert on_triangles >= 10
