@@ -47,14 +47,36 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> "Graph":
-        """Build a graph from unordered id pairs; duplicates dedup silently."""
+        """Build a graph from unordered id pairs; duplicates dedup silently.
+
+        The vertices come first, then the pairs in order, with the checks and
+        the set insertions that ``add_vertex`` and ``add_edge`` would make, so
+        the graph, down to the iteration order of every neighbor set, is the
+        one those calls build; the sets are filled here without a method call
+        per pair.
+        """
         g = cls()
+        adj = g._adj
         for v in vertices:
-            if not g.has_vertex(v):
-                g.add_vertex(v)
+            if v not in adj:
+                if v < 0:
+                    g.add_vertex(v)  # raises: ids are non-negative
+                adj[v] = set()
+        m = 0
         for pair in edges:
             u, v = pair
-            g.add_edge(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} is not allowed")
+            if u not in adj:
+                g.add_vertex(u)
+            if v not in adj:
+                g.add_vertex(v)
+            nu = adj[u]
+            if v not in nu:
+                nu.add(v)
+                adj[v].add(u)
+                m += 1
+        g._m = m
         return g
 
     # mutation
@@ -97,13 +119,16 @@ class Graph:
 
     def remove_vertex(self, v: int) -> set[int]:
         """Delete v with its edges; returns its former neighbor set."""
-        nbrs = self._require(v)
-        for w in nbrs:
-            self._adj[w].discard(v)
-        self._m -= len(nbrs)
-        del self._adj[v]
-        if self.touched is not None:
-            self.touched.update(nbrs)
+        nbrs = self._adj.pop(v, None)
+        if nbrs is None:
+            return self._require(v)  # raises for an id not live
+        if nbrs:  # an isolated vertex changes no neighborhood
+            adj = self._adj
+            for w in nbrs:
+                adj[w].discard(v)
+            self._m -= len(nbrs)
+            if self.touched is not None:
+                self.touched |= nbrs
         return nbrs
 
     def fold(self, u: int, s: int, r: int) -> set[int]:
@@ -117,10 +142,11 @@ class Graph:
         ``triangles`` gains its vertices.
         """
         adj = self._adj
-        absorbed = adj.get(s)
-        if s == r or adj.get(u) != {s, r} or r in absorbed:
+        nu = adj.get(u)
+        if s == r or nu is None or len(nu) != 2 or s not in nu or r not in nu or r in adj[s]:
             raise ValueError(f"fold needs a degree-2 vertex {u} with non-adjacent neighbors {s}, {r}")
-        del adj[u], adj[s]
+        absorbed = adj.pop(s)
+        del adj[u]
         absorbed.discard(u)
         kept = adj[r]
         kept.discard(u)
@@ -249,6 +275,15 @@ class Graph:
         return sub
 
     def clone(self) -> "Graph":
+        """An independent copy: the same vertices, edges, marks and index.
+
+        A copy does not keep the iteration order of a neighbor set, since a
+        set copy re-inserts its members. ``kernel.bound_exceeds``'s greedy
+        packing and matching follow that order, so a graph and its copy may
+        answer the same check differently; both answers are sound. The
+        search stays deterministic because ``_search`` always clones its
+        root and ``parse_dimacs`` builds the sets in edge-line order.
+        """
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._m = self._m

@@ -80,13 +80,14 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
     triple {s, u, r} contracts into r (k_delta += 1) and the lift decides
     between {s, r} and {u}.
     """
-    nbrs = g.neighbors(u)
-    if len(nbrs) != 2:
-        raise ValueError(f"fold needs a degree-2 vertex, got degree {len(nbrs)}")
+    adj = g.adjacency()
+    nbrs = adj.get(u)
+    if nbrs is None or len(nbrs) != 2:
+        raise ValueError(f"fold needs a degree-2 vertex, got degree {g.degree(u)}")
     s, r = nbrs
     if s > r:
         s, r = r, s
-    if g.has_edge(s, r):
+    if r in adj[s]:
         trace.include(s)
         trace.include(r)
         fell = g.remove_vertex(s)
@@ -110,30 +111,45 @@ def reduce_low_degree(
     Ends with every live vertex at degree >= 3 (possibly the empty graph).
     The lowest-id low-degree vertex is handled first for reproducibility.
     Given candidates, the caller vouches that no other vertex starts at
-    degree <= 2; ids no longer live are skipped.
+    degree <= 2; ids no longer live are skipped. The isolated and degree-1
+    rules append their trace entries here rather than through
+    ``ReductionTrace``'s methods, which would cost a call per firing;
+    ``fold_degree2`` decides every degree-2 vertex.
     """
     adj = g.adjacency()
     if candidates is None:
-        candidates = adj
-    heap = [v for v in candidates if v in adj and len(adj[v]) <= 2]
-    heapq.heapify(heap)
+        todo = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    else:
+        todo = [v for v in candidates if v in adj and len(adj[v]) <= 2]
     # every live vertex of degree <= 2 stays queued, so only a vertex whose
-    # degree fell can newly qualify
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while heap:
-        v = heappop(heap)
+    # degree fell can newly qualify. The first ones wait in a list sorted
+    # downwards, the others in a heap, and the lower of the two heads goes
+    # next: a pop from the list's end is cheaper than one from a large heap
+    todo.sort(reverse=True)
+    heap: list[int] = []
+    heappush, heappop, next_todo = heapq.heappush, heapq.heappop, todo.pop
+    append = trace.entries.append
+    remove_vertex = g.remove_vertex
+    while True:
+        if heap and (not todo or heap[0] < todo[-1]):
+            v = heappop(heap)
+        elif todo:
+            v = next_todo()
+        else:
+            return
         nbrs = adj.get(v)
         if nbrs is None or len(nbrs) > 2:
             continue
         if not nbrs:
-            trace.delete_isolated(v)
-            g.remove_vertex(v)
+            append(DeleteIsolated(v))
+            remove_vertex(v)
             continue
         if len(nbrs) == 1:
             # the neighbor of a pendant vertex lies in some minimum cover
             (w,) = nbrs
-            trace.include(w)
-            fell = g.remove_vertex(w)
+            append(Include(w))
+            trace.k_delta += 1
+            fell = remove_vertex(w)
         else:
             fell = fold_degree2(g, v, trace)
         for x in fell:

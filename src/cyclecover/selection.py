@@ -58,10 +58,23 @@ def mirrors(g: Graph, v: int) -> frozenset[int]:
     most one vertex w of that clique; trading v for w gives a cover of the
     same size that holds all of N(v). Hence some minimum cover holds either
     N(v) or v with all its mirrors.
+
+    A v outside ``g.triangles`` has an independent neighborhood, whose
+    cliques have one vertex at most: a mirror misses at most one neighbor of
+    v, so it is adjacent to two of any three of them (one of any two), and
+    counting the neighbors it shares with v decides it.
     """
     adj = g.adjacency()
     nv = adj[v]
     d = len(nv)
+    if g.triangles is not None and v not in g.triangles:
+        if d < 3:
+            cands = set().union(*(adj[w] for w in nv))
+        else:
+            a, b, c = (adj[w] for w in islice(nv, 3))
+            cands = (a & b) | (a & c) | (b & c)
+        cands.discard(v)
+        return frozenset(u for u in cands if len(adj[u] & nv) >= d - 1)
     inner = {x: len(adj[x] & nv) for x in nv}  # neighbors inside N(v)
     widest = max(inner.values(), default=0) + 1  # no clique in N(v) is larger
     # the vertices of N(v) a mirror misses form a clique, so it is adjacent to
@@ -139,8 +152,10 @@ def select(g: Graph) -> BranchPlan:
         return BranchPlan(vertex=v, mirrors=mirrors(g, v), rule_tag=RuleTag.HIGH_DEGREE)
     if maxdeg == 4:
         # best exclude estimate first, lowest id on ties; the first candidate
-        # with mirrors wins, and without one the first candidate does
-        cands = sorted(top, key=lambda u: (-estimate_vector(g, u)[1], u))
+        # with mirrors wins, and without one the first candidate does. At
+        # degree 4 and minimum degree 3 the estimate is the neighbors' degree
+        # sum minus 7, never clamped, so the sum orders them alike
+        cands = sorted(top, key=lambda u: (-sum(len(adj[w]) for w in adj[u]), u))
         v, found = cands[0], frozenset()
         for u in cands:
             found = mirrors(g, u)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from cyclecover.dimacs import emit_cover, emit_dimacs, parse_cover, parse_dimacs
-from cyclecover.errors import DimacsParseError
+from cyclecover.dimacs import _parse_canonical, _parse_lines, emit_cover, emit_dimacs, parse_cover, parse_dimacs
+from cyclecover.errors import DimacsParseError, ResourceLimitError
 from cyclecover.generators import generate, petersen_graph
 from cyclecover.graph import Graph
+
+from conftest import gnp
 
 
 def test_parse_triangle():
@@ -87,3 +91,91 @@ def test_cover_files():
     for bad in ("two", "-3", "0", "1_0", "+1", "1.0", "\u0661"):
         with pytest.raises(DimacsParseError, match="line 2"):
             parse_cover(f"1\n{bad}\n")
+
+
+def outcome(parse, text):
+    """What a reader makes of text: the graph in iteration order (vertices,
+    and each neighbor set, which the solver's tie-breaks follow), its edge
+    count and the warnings, or the error's type, message and line number."""
+    warnings = []
+    try:
+        g = parse(text, warnings)
+    except (DimacsParseError, ResourceLimitError) as err:
+        return type(err).__name__, str(err), getattr(err, "line_no", None)
+    adj = g.adjacency()
+    return [(v, list(nbrs)) for v, nbrs in adj.items()], g.num_edges(), warnings
+
+
+def canonical_texts(rng):
+    """Texts in the form emit_dimacs writes, with the edge lines shuffled and
+    some pairs reversed: random graphs large and small (the large ones span
+    several of the bulk reader's chunks), isolated vertices, duplicate edge
+    lines, ids with leading zeros and a missing final LF."""
+    for n, p in ((1, 0), (6, 0.5), (40, 0.1), (300, 0.05), (2500, 0.002)):
+        g = gnp(n, p, rng)
+        header, *edges = emit_dimacs(g).splitlines()
+        rng.shuffle(edges)
+        edges = [f"e {v} {u}" if rng.random() < 0.3 else f"e {u} {v}" for _, u, v in map(str.split, edges)]
+        yield "\n".join([header, *edges]) + "\n"
+        if not edges:
+            continue
+        dup = edges + rng.sample(edges, max(1, len(edges) // 5))
+        rng.shuffle(dup)
+        yield "\n".join([f"p edge {n} {len(dup)}", *dup]) + "\n"
+        padded = [f"e 0{u} {'00' if rng.random() < 0.5 else ''}{v}" for _, u, v in map(str.split, edges)]
+        yield "\n".join([f"p edge 0{n} {len(edges)}", *padded]) + "\n"
+        yield "\n".join([header, *edges])
+
+
+def test_bulk_reader_matches_line_reader_on_canonical_text():
+    rng = random.Random(22)
+    texts = list(canonical_texts(rng))
+    assert len(texts) > 15
+    duplicates = 0
+    for text in texts:
+        got = outcome(parse_dimacs, text)
+        assert got == outcome(_parse_lines, text)
+        assert isinstance(got[0], list)
+        duplicates += bool(got[2])
+        # the bulk reader takes every text but the one without its final LF
+        assert (_parse_canonical(text, []) is None) == (not text.endswith("\n"))
+    assert duplicates >= 4
+
+
+def test_bulk_reader_leaves_other_text_to_the_line_reader():
+    """Same graph, or same error with the same line number."""
+    rng = random.Random(23)
+    g = gnp(30, 0.2, rng)
+    text = emit_dimacs(g)
+    header, first, *rest = text.splitlines()
+    n = g.num_vertices()
+    m = g.num_edges()
+    lines = [header, first, *rest]
+    variants = {
+        "crlf": text.replace("\n", "\r\n"),
+        "leading comment": "c made by hand\n" + text,
+        "comment between edges": "\n".join([header, first, "c here", *rest]) + "\n",
+        "double space": text.replace(first, first.replace(" ", "  ", 1)),
+        "trailing space": text.replace(first, first + " "),
+        "blank line": text + "\n",
+        "self-loop": text.replace(first, "e 3 3"),
+        "id 0": text.replace(first, "e 0 2"),
+        "id N+1": text.replace(first, f"e 1 {n + 1}"),
+        "5,000-digit id": text.replace(first, "e 1 " + "9" * 5000),
+        "5,000-digit id with leading zeros": text.replace(first, "e 1 " + "0" * 4999 + "2"),
+        "5,000-digit count": f"p edge {n} {'0' * 4990}{m}\n" + "\n".join(lines[1:]) + "\n",
+        "too few edges": text.replace(header, f"p edge {n} {m + 1}"),
+        "too many edges": text.replace(header, f"p edge {n} {m - 1}"),
+        "edge before header": "\n".join([first, header, *rest]) + "\n",
+        "second header": "\n".join([header, header, first, *rest]) + "\n",
+        "tab": text.replace(first, first.replace(" ", "\t")),
+        "non-ASCII digit": text.replace(first, "e \u0661 2"),
+        "too many vertices": "p edge 1000001 0\n",
+        "empty": "",
+    }
+    errors = 0
+    for why, variant in variants.items():
+        got = outcome(parse_dimacs, variant)
+        assert got == outcome(_parse_lines, variant), why
+        errors += isinstance(got[0], str)
+    assert errors >= 14

@@ -20,9 +20,47 @@ def test_from_edges_builds_and_dedups():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges([(2, 2)])
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph.from_edges([(0, 1), (3, 3)], vertices=range(4))
     g = Graph.from_edges([(0, 1)])
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
+
+
+def test_from_edges_rejects_negative_ids():
+    for edges, vertices in (([], [0, -1]), ([(0, -2)], []), ([(-2, 0)], [0])):
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph.from_edges(edges, vertices=vertices)
+
+
+def test_from_edges_matches_add_edge():
+    """The same vertex order, neighbor-set iteration order and edge count as
+    one add_vertex and add_edge call each, duplicates and reversed pairs
+    included."""
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randrange(1, 60)
+        pairs = [tuple(rng.sample(range(n + 5), 2)) for _ in range(rng.randrange(3 * n))]
+        pairs += rng.sample(pairs, len(pairs) // 4)
+        vertices = rng.sample(range(n), n // 2)
+        ref = Graph()
+        for v in vertices:
+            ref.add_vertex(v)
+        for u, v in pairs:
+            ref.add_edge(u, v)
+        g = Graph.from_edges(pairs, vertices=vertices + vertices[:2])
+        assert snapshot(g) == snapshot(ref)
+
+
+def snapshot(g: Graph):
+    """Everything a mutation may change, in iteration order."""
+    adj = g.adjacency()
+    return (
+        [(v, list(nbrs)) for v, nbrs in adj.items()],
+        g.num_edges(),
+        None if g.touched is None else set(g.touched),
+        None if g.triangles is None else set(g.triangles),
+    )
 
 
 def test_remove_vertex_cleans_edges():
@@ -59,6 +97,42 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     assert fold_degree2(g, 0, trace) == {3}
     assert trace.entries == [Include(1), Include(2), DeleteIsolated(0)] and trace.k_delta == 2
     assert sorted(g.vertices()) == [3] and g.num_edges() == 0
+
+
+def test_failed_fold_and_removal_change_nothing():
+    # 0 and 5 have degree 2; 0's neighbors 1 and 2 are not adjacent, 5's are
+    g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 3), (5, 4)])
+    g.index_triangles()
+    g.touched = {9}
+    before = snapshot(g)
+    bad = {
+        "u not live": (7, 1, 2),
+        "u of degree 4": (3, 1, 2),
+        "u of degree 3": (4, 1, 3),
+        "s not a neighbor of u": (0, 3, 2),
+        "r not a neighbor of u": (0, 1, 4),
+        "s not live": (0, 8, 1),
+        "s == r": (0, 1, 1),
+        "s adjacent to r": (5, 3, 4),
+    }
+    for why, args in bad.items():
+        with pytest.raises(ValueError, match="fold needs"):
+            g.fold(*args)
+        assert snapshot(g) == before, why
+    with pytest.raises(ValueError, match="not live"):
+        g.remove_vertex(7)
+    assert snapshot(g) == before
+    assert g.fold(0, 1, 2) == {3}
+
+
+def test_removing_an_isolated_vertex_marks_nothing():
+    g = Graph.from_edges([(0, 1)], vertices=[2])
+    g.touched = set()
+    assert g.remove_vertex(2) == set()
+    assert g.touched == set() and g.num_edges() == 1
+    assert g.remove_vertex(1) == {0}
+    assert g.touched == {0}
+    assert g.remove_vertex(0) == set() and g.touched == {0}
 
 
 def contract_by_edge_moves(g: Graph, keep: int, absorb: int) -> None:

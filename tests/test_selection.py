@@ -95,19 +95,28 @@ def mirrors_by_definition(g, v):
 
 
 def test_mirrors_match_definition():
+    """On the graphs as built, and on indexed copies, where a vertex on no
+    triangle takes the common-neighbor count."""
     rng = random.Random(11)
-    with_mirrors = 0
+    with_mirrors = counted = counted_with_mirrors = 0
     for seed in range(200):
         if seed % 2:
             g = mixed_instance(seed, max_n=30)
         else:
             n = rng.randrange(4, 30)
             g = random_max_degree(n, rng, max_deg=rng.choice((3, 4, 5, 6)), proposals=4 * n)
+        indexed = g.clone()
+        indexed.index_triangles()
         for v in sorted(g.vertices()):
             want = mirrors_by_definition(g, v)
             assert mirrors(g, v) == want, (seed, v)
+            assert mirrors(indexed, v) == want, (seed, v)
             with_mirrors += bool(want)
+            if v not in indexed.triangles:
+                counted += 1
+                counted_with_mirrors += bool(want)
     assert with_mirrors > 200
+    assert counted > 1000 and counted_with_mirrors > 500
 
 
 def test_shortest_cycle_lengths():
