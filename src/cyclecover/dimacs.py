@@ -17,7 +17,8 @@ expression and converted by ``str.split`` and ``int``. Any other text, and
 canonical text that breaks a rule (an endpoint out of range, a self-loop,
 the wrong edge count), goes to the line reader ``_parse_lines``, which
 accepts the whole grammar and names every error with its line number. Both
-build the same graph: vertices 1..N in order, then the edges in line order.
+collect the endpoints and hand them to one builder: vertices 1..N in order,
+then the edges in line order.
 
 A cover file is one vertex id per line, 1-based, LF-terminated.
 """
@@ -85,9 +86,7 @@ def _parse_canonical(text: str, warnings: list[str] | None) -> Graph | None:
         return None
     if any(map(eq, us, vs)):
         return None
-    g = Graph.from_edges(zip(us, vs), range(1, n + 1))
-    _warn_duplicates(m - g.num_edges(), warnings)
-    return g
+    return _build(n, us, vs, warnings)
 
 
 def _parse_lines(text: str, warnings: list[str] | None = None) -> Graph:
@@ -96,11 +95,10 @@ def _parse_lines(text: str, warnings: list[str] | None = None) -> Graph:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    g = Graph()
+    us: list[int] = []
+    vs: list[int] = []
     n = m = 0
     header_seen = False
-    edges_seen = 0
-    duplicates = 0
     for idx, raw in enumerate(lines, start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         if line.startswith("c"):
@@ -124,8 +122,6 @@ def _parse_lines(text: str, warnings: list[str] | None = None) -> Graph:
                     f"line {idx}: header declares {n} vertices, above the limit of {MAX_VERTICES}"
                 )
             header_seen = True
-            for v in range(1, n + 1):
-                g.add_vertex(v)
         elif kind == "e":
             if not header_seen:
                 raise DimacsParseError("edge before header", idx)
@@ -138,24 +134,25 @@ def _parse_lines(text: str, warnings: list[str] | None = None) -> Graph:
                 raise DimacsParseError(f"vertex out of range 1..{n} in {line!r}", idx)
             if u == v:
                 raise DimacsParseError(f"self-loop at vertex {u}", idx)
-            edges_seen += 1
-            if g.has_edge(u, v):
-                duplicates += 1
-            else:
-                g.add_edge(u, v)
+            us.append(u)
+            vs.append(v)
         else:
             raise DimacsParseError(f"unrecognized line {line!r}", idx)
     if not header_seen:
         raise DimacsParseError("missing header", len(lines) or 1)
-    if edges_seen != m:
-        raise DimacsParseError(f"header promises {m} edges, found {edges_seen}", len(lines))
-    _warn_duplicates(duplicates, warnings)
-    return g
+    if len(us) != m:
+        raise DimacsParseError(f"header promises {m} edges, found {len(us)}", len(lines))
+    return _build(n, us, vs, warnings)
 
 
-def _warn_duplicates(duplicates: int, warnings: list[str] | None) -> None:
+def _build(n: int, us: list[int], vs: list[int], warnings: list[str] | None) -> Graph:
+    """The graph on vertices 1..n with the edges {us[i], vs[i]} in order;
+    duplicate edge lines collapse and are reported."""
+    g = Graph.from_edges(zip(us, vs), range(1, n + 1))
+    duplicates = len(us) - g.num_edges()
     if duplicates and warnings is not None:
         warnings.append(f"{duplicates} duplicate edge line(s) collapsed")
+    return g
 
 
 def emit_dimacs(g: Graph) -> str:

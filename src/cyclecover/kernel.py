@@ -56,7 +56,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graph import Graph
-from .reductions import ReductionTrace
+from .reductions import Include, ReductionTrace
 
 
 @dataclass(frozen=True)
@@ -333,9 +333,9 @@ def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> Kerne
     """Shrink g in place to the kernel induced by the LP halves.
 
     Value-1 vertices are included via the trace (k_residual = k - #ones),
-    value-0 vertices become isolated once the ones are gone and are deleted.
-    When the LP value already exceeds k the result is an authoritative NO and
-    the graph is left untouched.
+    value-0 vertices become isolated once the ones are gone and are deleted
+    without a trace entry. When the LP value already exceeds k the result is
+    an authoritative NO and the graph is left untouched.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -350,12 +350,11 @@ def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> Kerne
             feasible=False, lp_times_two=matching,
         )
     for v in sorted(partition.ones):
-        trace.include(v)
+        trace.entries.append(Include(v))
         g.remove_vertex(v)
     for v in sorted(partition.zeros):
         if g.degree(v) != 0:
             raise AssertionError(f"LP-zero vertex {v} still has a neighbor")
-        trace.delete_isolated(v)
         g.remove_vertex(v)
     return KernelResult(
         kernel=g, k_residual=k_residual, partition=partition, trace=trace,

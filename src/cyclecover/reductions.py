@@ -1,14 +1,16 @@
 """Parameter-preserving reductions with a replayable trace.
 
-Every rule mutates the graph, appends trace entries, and accounts its cover
-cost in k_delta: a cover of size s for the reduced graph lifts to a cover of
-size s + k_delta for the original. ``reduce_fixpoint`` runs the degree rules
-(isolated, degree-1, degree-2 folding in one ``Graph.fold`` call) and includes
-unconfined vertices, a rule that covers domination.
+Every rule mutates the graph and appends one trace entry for each vertex
+the lift will add to the cover: a cover of size s for the reduced graph
+lifts to a cover of size s + k_delta for the original. Deleting an isolated
+vertex costs nothing and leaves no entry. ``reduce_fixpoint`` runs the
+degree rules (isolated, degree-1, degree-2 folding in one ``Graph.fold``
+call) and includes unconfined vertices, a rule that covers domination.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
-rules create an entry at every firing. They still compare by value.
+rules create an entry at every firing that covers a vertex. They still
+compare by value.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ class Include:
     v: int
 
 @dataclass(slots=True)
-class DeleteIsolated:
-    v: int
-
-@dataclass(slots=True)
 class FoldDeg2:
     """Degree-2 u with non-adjacent neighbors s, r merged into r: r in the
     lifted cover means {s, r}, otherwise u."""
@@ -38,24 +36,20 @@ class FoldDeg2:
     r: int
 
 
-TraceEntry = Union[Include, DeleteIsolated, FoldDeg2]
+TraceEntry = Union[Include, FoldDeg2]
 
 
 @dataclass
 class ReductionTrace:
+    """The rules' decisions in firing order. Each entry puts exactly one
+    vertex in the lifted cover, so ``k_delta``, the cost of the reductions,
+    is the number of entries. Rules append to ``entries`` directly."""
+
     entries: list[TraceEntry] = field(default_factory=list)
-    k_delta: int = 0
 
-    def include(self, v: int) -> None:
-        self.entries.append(Include(v))
-        self.k_delta += 1
-
-    def delete_isolated(self, v: int) -> None:
-        self.entries.append(DeleteIsolated(v))
-
-    def fold(self, u: int, s: int, r: int) -> None:
-        self.entries.append(FoldDeg2(u, s, r))
-        self.k_delta += 1
+    @property
+    def k_delta(self) -> int:
+        return len(self.entries)
 
 
 def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
@@ -65,20 +59,19 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
     for entry in reversed(trace.entries):
         if isinstance(entry, Include):
             cover.add(entry.v)
-        elif isinstance(entry, FoldDeg2):
-            if entry.r in cover:
-                cover.add(entry.s)
-            else:
-                cover.add(entry.u)
+        elif entry.r in cover:
+            cover.add(entry.s)
+        else:
+            cover.add(entry.u)
     return cover
 
 
 def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
     """Resolve a degree-2 vertex; returns the live vertices whose degree fell.
 
-    Adjacent neighbors: both join the cover (k_delta += 2). Otherwise the
-    triple {s, u, r} contracts into r (k_delta += 1) and the lift decides
-    between {s, r} and {u}.
+    Adjacent neighbors: both join the cover (two ``Include`` entries) and the
+    isolated u goes for free. Otherwise the triple {s, u, r} contracts into r
+    (one ``FoldDeg2`` entry) and the lift decides between {s, r} and {u}.
     """
     adj = g.adjacency()
     nbrs = adj.get(u)
@@ -88,18 +81,16 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
     if s > r:
         s, r = r, s
     if r in adj[s]:
-        trace.include(s)
-        trace.include(r)
+        trace.entries.extend((Include(s), Include(r)))
         fell = g.remove_vertex(s)
         fell |= g.remove_vertex(r)
-        trace.delete_isolated(u)
         g.remove_vertex(u)
         fell.discard(u)
         fell.discard(r)
     else:
         fell = g.fold(u, s, r)
         fell.add(r)
-        trace.fold(u, s, r)
+        trace.entries.append(FoldDeg2(u, s, r))
     return fell
 
 
@@ -111,10 +102,8 @@ def reduce_low_degree(
     Ends with every live vertex at degree >= 3 (possibly the empty graph).
     The lowest-id low-degree vertex is handled first for reproducibility.
     Given candidates, the caller vouches that no other vertex starts at
-    degree <= 2; ids no longer live are skipped. The isolated and degree-1
-    rules append their trace entries here rather than through
-    ``ReductionTrace``'s methods, which would cost a call per firing;
-    ``fold_degree2`` decides every degree-2 vertex.
+    degree <= 2; ids no longer live are skipped. ``fold_degree2`` decides
+    every degree-2 vertex.
     """
     adj = g.adjacency()
     if candidates is None:
@@ -141,14 +130,12 @@ def reduce_low_degree(
         if nbrs is None or len(nbrs) > 2:
             continue
         if not nbrs:
-            append(DeleteIsolated(v))
             remove_vertex(v)
             continue
         if len(nbrs) == 1:
             # the neighbor of a pendant vertex lies in some minimum cover
             (w,) = nbrs
             append(Include(w))
-            trace.k_delta += 1
             fell = remove_vertex(w)
         else:
             fell = fold_degree2(g, v, trace)
@@ -200,7 +187,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
         v = _first_unconfined(adj, unchecked)
         if v is None:
             return
-        trace.include(v)
+        trace.entries.append(Include(v))
         g.remove_vertex(v)
         changed = g.touched
 

@@ -9,8 +9,6 @@ and cross-checks the two on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph
 
 
@@ -23,54 +21,21 @@ def extra_degree_graph(g: Graph) -> int:
     return sum(extra_degree(g, v) for v in g.vertices())
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    """A pendant path: degree-1 start, interior of degree-2 vertices, and the
-    first vertex of degree != 2 as terminal. The terminal survives stripping
-    when its degree is 3 or more."""
-
-    path: tuple[int, ...]
-    terminal: int
-
-
-def line_from(g: Graph, start: int) -> LineSegment:
-    """Walk the pendant path beginning at a degree-1 vertex."""
-    if g.degree(start) != 1:
-        raise ValueError(f"line must start at a degree-1 vertex, got degree {g.degree(start)}")
-    path = [start]
-    prev = start
-    cur = next(iter(g.neighbors(start)))
-    while g.degree(cur) == 2:
-        path.append(cur)
-        nxt = next(iter(g.neighbors(cur) - {prev}))
-        prev, cur = cur, nxt
-    return LineSegment(path=tuple(path), terminal=cur)
-
-
 def strip_lines(g: Graph) -> Graph:
-    """Copy of g with all pendant paths and isolated vertices removed.
+    """Copy of g with all pendant paths and isolated vertices removed: its
+    2-core, in which every vertex has degree >= 2.
 
-    Repeats until every remaining vertex has degree >= 2. Terminals of degree
-    >= 3 survive; a path whose far end is another degree-1 vertex disappears
-    entirely.
+    A vertex of degree <= 1 is deleted, and each neighbor it leaves at
+    degree <= 1 joins the queue, until none is left.
     """
     s = g.clone()
-    while True:
-        worklist = sorted(v for v in s.vertices() if s.degree(v) <= 1)
-        if not worklist:
-            return s
-        for v in worklist:
-            if not s.has_vertex(v):
-                continue
-            if s.degree(v) == 0:
-                s.remove_vertex(v)
-                continue
-            seg = line_from(s, v)
-            for u in seg.path:
-                s.remove_vertex(u)
-            # a degree-1 terminal belonged to a pure path and is isolated now
-            if s.degree(seg.terminal) == 0:
-                s.remove_vertex(seg.terminal)
+    adj = s.adjacency()
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+    while low:
+        v = low.pop()
+        if v in adj:  # a degree-1 vertex may be queued again at degree 0
+            low += [w for w in s.remove_vertex(v) if len(adj[w]) <= 1]
+    return s
 
 
 def circuit_rank(g: Graph) -> int:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cyclecover.graph import Graph
-from cyclecover.reductions import DeleteIsolated, Include, ReductionTrace, fold_degree2
+from cyclecover.reductions import Include, ReductionTrace, fold_degree2
 
 from conftest import gnp
 from graph_checks import check_invariants, check_triangle_index, edge_set, is_forest
@@ -95,7 +95,7 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     assert g.touched == set()
     trace = ReductionTrace()
     assert fold_degree2(g, 0, trace) == {3}
-    assert trace.entries == [Include(1), Include(2), DeleteIsolated(0)] and trace.k_delta == 2
+    assert trace.entries == [Include(1), Include(2)] and trace.k_delta == 2
     assert sorted(g.vertices()) == [3] and g.num_edges() == 0
 
 

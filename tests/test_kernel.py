@@ -14,7 +14,7 @@ from cyclecover.kernel import (
     nt_kernelize,
 )
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
-from cyclecover.reductions import ReductionTrace, lift_cover
+from cyclecover.reductions import Include, ReductionTrace, lift_cover
 
 from conftest import gnp, mixed_instance
 
@@ -106,6 +106,7 @@ def test_kernel_preserves_optimum_through_lift():
         trace = ReductionTrace()
         res = nt_kernelize(work, g.num_vertices(), trace)
         assert res.feasible
+        assert trace.entries == [Include(v) for v in sorted(res.partition.ones)], seed
         sub_size, sub_cover = min_vc_bruteforce(work)
         assert trace.k_delta + sub_size == opt, seed
         lifted = lift_cover(trace, sub_cover)

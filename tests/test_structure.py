@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecover.generators import cycle_graph, path_graph, petersen_graph, star_graph
+from cyclecover.generators import cycle_graph, petersen_graph, star_graph
 from cyclecover.graph import Graph
 from cyclecover.structure import (
     circuit_rank,
     extra_degree,
     extra_degree_graph,
-    line_from,
     strip_lines,
     tau,
     tau_upper_bound,
@@ -39,21 +38,6 @@ def test_petersen_counts():
     assert tau(p) == 6
     assert circuit_rank(p) == 6
     assert tau_upper_bound(p) == 6
-
-
-def test_line_walk_on_pendant_path():
-    # 0-1-2-3 then 3 fans out to 4,5: the line stops at the degree-3 vertex
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
-    seg = line_from(g, 0)
-    assert seg.path == (0, 1, 2)
-    assert seg.terminal == 3
-
-
-def test_line_whole_path_graph():
-    g = path_graph(4)
-    seg = line_from(g, 0)
-    assert seg.terminal == 3
-    assert seg.path == (0, 1, 2)
 
 
 def test_strip_lines_removes_all_low_degree():
