@@ -316,6 +316,10 @@ def search_fingerprint(answer, cover, stats):
         stats.max_depth,
         stats.tree_leaf_count,
         stats.k_exhausted_leaves,
+        stats.lp_prunes,
+        stats.packing_prunes,
+        stats.late_packing_prunes,
+        stats.tau_root,
     )
 
 
@@ -330,10 +334,12 @@ def search_fingerprint(answer, cover, stats):
 # max-degree-5 graphs, re-recorded when the packing went on to odd cycles
 # where triangles run out, and re-recorded when the packing went up to four
 # cycles after a node's reductions and the corpus gained two more cubic and
-# two more max-degree-5 graphs. A change that keeps every search tree, prune
-# and certificate keeps the digest; a change that means to alter the search
-# re-pins it and says why.
-SAME_TREE_DIGEST = "fae6c6eb5c2a7dc7c4235222e5a53c6c8f0f65debb4a3cca22223f648eb9fe17"
+# two more max-degree-5 graphs, and re-recorded with the same trees when the
+# fingerprint gained the LP, packing and late packing prune counts and the
+# root's circuit rank, so that it pins every field the CLI reports. A change
+# that keeps every search tree, prune and certificate keeps the digest; a
+# change that means to alter the search re-pins it and says why.
+SAME_TREE_DIGEST = "aab2cfc3c1a946e6a629433f3eab8cf24d271d4bbd046609eb557d91a6b9fe8c"
 
 
 def test_search_trees_and_certificates_pinned():
