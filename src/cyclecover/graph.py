@@ -15,20 +15,10 @@ class Graph:
     need not be contiguous. The graph keeps no record of deleted ids. The
     search and the reductions only delete and fold, so every id a trace or a
     certificate names is one of the input's, and never stands for two
-    vertices.
-
-    ``touched`` is None, or a set to which every mutation adds the vertices
-    whose neighborhood it changed; a new vertex counts as changed, a
-    ``fold`` marks what deleting u and moving s's edges onto r would, and
-    ids deleted later stay in the set. A set vouches that the graph had just
-    left ``reduce_fixpoint`` when the set began, so that only the marked
-    vertices and their neighbors need another look: no vertex had degree
-    below 3, and none was unconfined where the rule's local scan looks. An
-    unconfined vertex farther from the changes may remain, so the marks
-    promise less than a full rescan would. None, as on a new graph, vouches
-    nothing. ``reduce_fixpoint`` leaves it empty, copies carry it, and an
-    induced subgraph keeps the marks of its vertices and marks each one that
-    lost a neighbor.
+    vertices. Nor does it record which neighborhoods a mutation changed:
+    ``remove_vertex`` returns the vertices whose neighborhood it changed,
+    and a caller that wants the record, as the search does for
+    ``reduce_fixpoint``, collects it.
 
     ``triangles`` is None, or a superset of the live vertices that lie on a
     triangle. Deletions may leave members that no longer do, or are no
@@ -37,12 +27,11 @@ class Graph:
     (``index_triangles``), and copies and induced subgraphs carry it.
     """
 
-    __slots__ = ("_adj", "_m", "touched", "triangles")
+    __slots__ = ("_adj", "_m", "triangles")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
-        self.touched: set[int] | None = None
         self.triangles: set[int] | None = None
 
     @classmethod
@@ -87,8 +76,6 @@ class Graph:
         if v in self._adj:
             raise ValueError(f"vertex {v} is already present")
         self._adj[v] = set()
-        if self.touched is not None:
-            self.touched.add(v)
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -100,8 +87,6 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
-            if self.touched is not None:
-                self.touched.update((u, v))
             if self.triangles is not None:
                 closed = self._adj[u] & self._adj[v]
                 if closed:
@@ -114,21 +99,17 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._m -= 1
-        if self.touched is not None:
-            self.touched.update((u, v))
 
     def remove_vertex(self, v: int) -> set[int]:
-        """Delete v with its edges; returns its former neighbor set."""
+        """Delete v with its edges; returns its former neighbor set, which
+        the graph no longer holds, so the caller may keep or change it."""
         nbrs = self._adj.pop(v, None)
         if nbrs is None:
             return self._require(v)  # raises for an id not live
-        if nbrs:  # an isolated vertex changes no neighborhood
-            adj = self._adj
-            for w in nbrs:
-                adj[w].discard(v)
-            self._m -= len(nbrs)
-            if self.touched is not None:
-                self.touched |= nbrs
+        adj = self._adj
+        for w in nbrs:
+            adj[w].discard(v)
+        self._m -= len(nbrs)
         return nbrs
 
     def fold(self, u: int, s: int, r: int) -> set[int]:
@@ -136,10 +117,8 @@ class Graph:
         other neighbor r, which must not be adjacent to s.
 
         Parallel edges collapse. Returns the common neighbors of s and r, the
-        vertices whose degree fell. ``touched`` gains r and s's neighbors but
-        u, as deleting u and moving s's edges onto r one by one would. Every
-        triangle the fold closes holds r and one of s's neighbors w, and
-        ``triangles`` gains its vertices.
+        vertices whose degree fell. Every triangle the fold closes holds r and
+        one of s's neighbors w, and ``triangles`` gains its vertices.
         """
         adj = self._adj
         nu = adj.get(u)
@@ -157,9 +136,6 @@ class Graph:
             moved.add(r)
         kept |= absorbed
         self._m -= 2 + len(common)
-        if self.touched is not None:
-            self.touched |= absorbed
-            self.touched.add(r)
         if self.triangles is not None:
             for w in absorbed:
                 if not kept.isdisjoint(adj[w]):
@@ -267,15 +243,12 @@ class Graph:
         sub = Graph()
         sub._adj = {v: self._require(v) & keep_set for v in keep_set}
         sub._m = sum(map(len, sub._adj.values())) // 2
-        if self.touched is not None:
-            marks, adj = self.touched, self._adj
-            sub.touched = {v for v, ns in sub._adj.items() if v in marks or len(ns) < len(adj[v])}
         if self.triangles is not None:
             sub.triangles = self.triangles & keep_set
         return sub
 
     def clone(self) -> "Graph":
-        """An independent copy: the same vertices, edges, marks and index.
+        """An independent copy: the same vertices, edges and index.
 
         A copy does not keep the iteration order of a neighbor set, since a
         set copy re-inserts its members. ``kernel.bound_exceeds``'s greedy
@@ -287,7 +260,6 @@ class Graph:
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._m = self._m
-        g.touched = None if self.touched is None else set(self.touched)
         g.triangles = None if self.triangles is None else set(self.triangles)
         return g
 

@@ -335,7 +335,7 @@ def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> Kerne
     Value-1 vertices are included via the trace (k_residual = k - #ones),
     value-0 vertices become isolated once the ones are gone and are deleted
     without a trace entry. When the LP value already exceeds k the result is
-    an authoritative NO and the graph is left untouched.
+    an authoritative NO and the graph is left as it was.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -344,19 +344,15 @@ def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> Kerne
     partition, matching = _half_integral_partition(g)
     k_residual = k - len(partition.ones)
     feasible = k_residual >= 0 and len(partition.halves) <= 2 * k_residual
-    if not feasible:
-        return KernelResult(
-            kernel=g, k_residual=k_residual, partition=partition, trace=trace,
-            feasible=False, lp_times_two=matching,
-        )
-    for v in sorted(partition.ones):
-        trace.entries.append(Include(v))
-        g.remove_vertex(v)
-    for v in sorted(partition.zeros):
-        if g.degree(v) != 0:
-            raise AssertionError(f"LP-zero vertex {v} still has a neighbor")
-        g.remove_vertex(v)
+    if feasible:
+        for v in sorted(partition.ones):
+            trace.entries.append(Include(v))
+            g.remove_vertex(v)
+        for v in sorted(partition.zeros):
+            if g.degree(v) != 0:
+                raise AssertionError(f"LP-zero vertex {v} still has a neighbor")
+            g.remove_vertex(v)
     return KernelResult(
         kernel=g, k_residual=k_residual, partition=partition, trace=trace,
-        feasible=True, lp_times_two=matching,
+        feasible=feasible, lp_times_two=matching,
     )

@@ -66,12 +66,15 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
     return cover
 
 
-def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
+def fold_degree2(g: Graph, u: int, trace: ReductionTrace, changed: set[int] | None = None) -> set[int]:
     """Resolve a degree-2 vertex; returns the live vertices whose degree fell.
 
     Adjacent neighbors: both join the cover (two ``Include`` entries) and the
     isolated u goes for free. Otherwise the triple {s, u, r} contracts into r
     (one ``FoldDeg2`` entry) and the lift decides between {s, r} and {u}.
+    A given changed set gains every live vertex whose neighborhood changed:
+    r and s's other neighbors for a fold, the vertices that lost s or r
+    otherwise.
     """
     adj = g.adjacency()
     nbrs = adj.get(u)
@@ -87,29 +90,33 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace) -> set[int]:
         g.remove_vertex(u)
         fell.discard(u)
         fell.discard(r)
+        if changed is not None:
+            changed |= fell
     else:
+        if changed is not None:
+            changed |= adj[s]  # and u, which the fold deletes
+            changed.add(r)
         fell = g.fold(u, s, r)
         fell.add(r)
         trace.entries.append(FoldDeg2(u, s, r))
     return fell
 
 
-def reduce_low_degree(
-    g: Graph, trace: ReductionTrace, candidates: Iterable[int] | None = None
-) -> None:
+def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None = None) -> None:
     """Fixpoint of the isolated, degree-1, and degree-2 rules.
 
     Ends with every live vertex at degree >= 3 (possibly the empty graph).
     The lowest-id low-degree vertex is handled first for reproducibility.
-    Given candidates, the caller vouches that no other vertex starts at
-    degree <= 2; ids no longer live are skipped. ``fold_degree2`` decides
-    every degree-2 vertex.
+    None examines every vertex. Given a changed set, the caller vouches that
+    no vertex outside it starts at degree <= 2; ids no longer live are
+    skipped, and the rules add to it every live vertex whose neighborhood
+    they change. ``fold_degree2`` decides every degree-2 vertex.
     """
     adj = g.adjacency()
-    if candidates is None:
+    if changed is None:
         todo = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     else:
-        todo = [v for v in candidates if v in adj and len(adj[v]) <= 2]
+        todo = [v for v in changed if v in adj and len(adj[v]) <= 2]
     # every live vertex of degree <= 2 stays queued, so only a vertex whose
     # degree fell can newly qualify. The first ones wait in a list sorted
     # downwards, the others in a heap, and the lower of the two heads goes
@@ -137,26 +144,30 @@ def reduce_low_degree(
             (w,) = nbrs
             append(Include(w))
             fell = remove_vertex(w)
+            if changed is not None:
+                changed |= fell
         else:
-            fell = fold_degree2(g, v, trace)
+            fell = fold_degree2(g, v, trace, changed)
         for x in fell:
             if len(adj[x]) <= 2:
                 heappush(heap, x)
 
 
-def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
+def reduce_fixpoint(g: Graph, trace: ReductionTrace, changed: set[int] | None = None) -> None:
     """Run the degree rules and the unconfined-vertex rule until neither
     applies.
 
     The degree rules fire exactly as repeated full scans would fire them,
     lowest id first, but only vertices that may newly match a rule are
     examined: for the degree rules those whose neighborhood changed, for the
-    unconfined-vertex rule those and their neighbors. A ``g.touched`` set
-    vouches that g left this function when the set began, so only its
-    members count as changed; None means all do. Whether a vertex is
-    unconfined depends on more than its neighbors, so a change can also free
-    a vertex the local scan does not re-examine; missing it costs search
-    nodes, never correctness. Always leaves ``g.touched`` empty.
+    unconfined-vertex rule those and their neighbors. A changed set vouches
+    that g left this function and that every live vertex whose neighborhood
+    changed since is in it, so only its members count as changed; None, as
+    at the search's root, means all do. Whether a vertex is unconfined
+    depends on more than its neighbors, so a change can also free a vertex
+    the local scan does not re-examine; missing it costs search nodes, never
+    correctness. The set also gains every live vertex whose neighborhood
+    the rules change.
 
     Of those, the unconfined rule examines only the members of
     ``g.triangles``, which gives the same answers: at minimum degree 3 each
@@ -166,30 +177,28 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace) -> None:
     the vertices the build would scan.
     """
     adj = g.adjacency()
-    changed = g.touched  # None: every vertex may match a rule
+    fresh = changed  # the changes no scan has looked at yet
     unchecked: set[int] = set()  # unconfined-rule candidates not yet examined
     while True:
-        g.touched = None if changed is None else set()
-        reduce_low_degree(g, trace, changed)
+        reduce_low_degree(g, trace, fresh)
         if g.triangles is None:
             g.index_triangles()
-        if changed is None:
+        if fresh is None:
             unchecked = g.triangles & adj.keys()
         else:
-            changed |= g.touched
-            for x in changed:
+            if changed is not None and fresh is not changed:
+                changed |= fresh
+            for x in fresh:
                 nbrs = adj.get(x)
                 if nbrs is not None:
                     unchecked.add(x)
                     unchecked |= nbrs
             unchecked &= g.triangles
-        g.touched = set()
         v = _first_unconfined(adj, unchecked)
         if v is None:
             return
         trace.entries.append(Include(v))
-        g.remove_vertex(v)
-        changed = g.touched
+        fresh = g.remove_vertex(v)
 
 
 def _first_unconfined(adj: dict[int, set[int]], unchecked: set[int]) -> int | None:

@@ -24,24 +24,26 @@ where the LP bound cannot. One kernel call, ``bound_exceeds``, checks
 whichever bound applies and stops once it knows the answer. Every node
 checks after its reductions, packing up to need 4; that check is at least
 as strong as the Nemhauser-Trotter kernel's infeasibility test before them,
-so the search runs no NT kernel. A node whose graph carries marks
-(``Graph.touched``, below), that is every branch and component child, also
+so the search runs no NT kernel. Every branch and component child also
 checks before its reductions, packing up to need 2: every rule keeps
 LP(G) <= LP(G') + cost, so a graph the LP check prunes would be pruned
 after its reductions too, and the reductions are skipped. Most pruned
-leaves end there. The root, whose marks the engine clears, skips the early
-check, because reductions shrink a handed-in graph first, and on a large
-sparse input the matching would run to the end only to answer no.
+leaves end there. The root skips the early check, because reductions
+shrink a handed-in graph first, and on a large sparse input the matching
+would run to the end only to answer no.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
 exclude branch consumes the node's graph), and reductions that re-examine only
-the vertices around what the branch deleted. The graph and the reductions keep
-that record (``Graph.touched``) between themselves; the engine only clears it
-on its root copy, so that a handed-in graph is scanned in full once and solved
-as its unmarked twin. A node is a generator that yields the children it needs
-solved, and ``_search`` runs the nodes on an explicit stack: no recursion, so
-the node budget is the search's one guard, and it raises ResourceLimitError.
+the vertices around what the branch deleted. Each child is handed, with its
+graph, the set of vertices whose neighborhood changed since its parent's
+reductions: the union of the neighbor sets ``remove_vertex`` returned for a
+branch child, and the empty set for a component child, which is a whole
+component of a reduced graph. The root is handed None, so a handed-in graph
+is scanned in full once, whatever reduced it before. A node is a generator
+that yields the children it needs solved, and ``_search`` runs the nodes on
+an explicit stack: no recursion, so the node budget is the search's one
+guard, and it raises ResourceLimitError.
 
 Every YES certificate is re-verified before it is returned. Along every
 branch the independent-cycle count tau never increases, and deleting a
@@ -97,18 +99,21 @@ class Verdict:
 
 
 _Result = tuple[int, set[int]] | None
-# a node yields each child as (graph, cap, first_fit) and is sent its result
-_Node = Generator[tuple[Graph, int, bool], _Result, _Result]
+# a node yields each child as (graph, cap, first_fit, changed) and is sent
+# its result
+_Node = Generator[tuple[Graph, int, bool, set[int]], _Result, _Result]
 
 
-def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) -> _Node:
+def _node(
+    g: Graph, cap: int, first_fit: bool, changed: set[int] | None, budget: int, stats: SearchStats
+) -> _Node:
     """Smallest cover of g not exceeding cap, or None.
 
     Decision mode (first_fit) may return any cover within cap; minimization
-    mode returns the exact minimum when it is within cap. A g with marks
-    (every child's; the root's are cleared) is checked against the lower
-    bounds before the reductions as well as after them. The result refers
-    to g as handed in; g itself is consumed.
+    mode returns the exact minimum when it is within cap. changed is what
+    ``reduce_fixpoint`` takes: a child's set, or None at the root. A child
+    is checked against the lower bounds before the reductions as well as
+    after them. The result refers to g as handed in; g itself is consumed.
     """
     if stats.nodes_expanded >= budget:
         raise ResourceLimitError(f"node budget {budget} exhausted")
@@ -118,11 +123,11 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
         return None
     if g.num_edges() == 0:
         return 0, set()
-    if g.touched is not None and _bound_exceeds(g, cap, stats, late=False):
+    if changed is not None and _bound_exceeds(g, cap, stats, late=False):
         return None
 
     trace = ReductionTrace()
-    reduce_fixpoint(g, trace)
+    reduce_fixpoint(g, trace, changed)
     cap -= trace.k_delta
     if cap < 0:
         stats.k_exhausted_leaves += 1
@@ -141,17 +146,15 @@ def _node(g: Graph, cap: int, first_fit: bool, budget: int, stats: SearchStats) 
         plan = select(g)
         take = (plan.vertex, *plan.mirrors)
         g_inc = g.clone()
-        for u in take:
-            g_inc.remove_vertex(u)
-        inc = yield g_inc, cap - len(take), first_fit
+        changed = set().union(*map(g_inc.remove_vertex, take))
+        inc = yield g_inc, cap - len(take), first_fit, changed
         if inc is not None:
             size, cover = len(take) + inc[0], inc[1].union(take)
             cap = size - 1  # the exclude branch has to beat it
         if inc is None or not first_fit:
             nlist = sorted(g.neighbors(plan.vertex))
-            for u in (*nlist, plan.vertex):
-                g.remove_vertex(u)
-            exc = yield g, cap - len(nlist), first_fit
+            changed = set().union(*map(g.remove_vertex, (*nlist, plan.vertex)))
+            exc = yield g, cap - len(nlist), first_fit, changed
             if exc is not None:
                 size, cover = len(nlist) + exc[0], exc[1].union(nlist)
             elif inc is None:
@@ -187,7 +190,7 @@ def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchS
     cover: set[int] = set()
     for i, sub in enumerate(subs):
         sub_cap = cap - total - sum(bounds[i + 1 :])
-        r = yield sub, sub_cap, False
+        r = yield sub, sub_cap, False, set()
         if r is None:
             return None
         total += r[0]
@@ -200,9 +203,7 @@ def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, 
     the open nodes, root first; the top one is sent its last child's result."""
     stats = SearchStats()
     stats.tau_root = circuit_rank(g)
-    root = g.clone()
-    root.touched = None  # g's marks vouch only for what a local scan reached
-    stack = [_node(root, cap, first_fit, budget, stats)]
+    stack = [_node(g.clone(), cap, first_fit, None, budget, stats)]
     result: _Result = None
     while stack:
         try:

@@ -58,7 +58,6 @@ def snapshot(g: Graph):
     return (
         [(v, list(nbrs)) for v, nbrs in adj.items()],
         g.num_edges(),
-        None if g.touched is None else set(g.touched),
         None if g.triangles is None else set(g.triangles),
     )
 
@@ -84,7 +83,6 @@ def test_fold_rehomes_and_drops_parallels():
 
 def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
-    g.touched = set()
     with pytest.raises(ValueError, match="adjacent"):
         g.fold(0, 1, 2)
     # degree 3, degree 1, not a vertex, not u's neighbors, one neighbor twice
@@ -92,7 +90,6 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
         with pytest.raises(ValueError, match="degree-2 vertex"):
             g.fold(*bad)
     assert edge_set(g) == edge_set(Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]))
-    assert g.touched == set()
     trace = ReductionTrace()
     assert fold_degree2(g, 0, trace) == {3}
     assert trace.entries == [Include(1), Include(2)] and trace.k_delta == 2
@@ -103,7 +100,6 @@ def test_failed_fold_and_removal_change_nothing():
     # 0 and 5 have degree 2; 0's neighbors 1 and 2 are not adjacent, 5's are
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 3), (5, 4)])
     g.index_triangles()
-    g.touched = {9}
     before = snapshot(g)
     bad = {
         "u not live": (7, 1, 2),
@@ -123,16 +119,6 @@ def test_failed_fold_and_removal_change_nothing():
         g.remove_vertex(7)
     assert snapshot(g) == before
     assert g.fold(0, 1, 2) == {3}
-
-
-def test_removing_an_isolated_vertex_marks_nothing():
-    g = Graph.from_edges([(0, 1)], vertices=[2])
-    g.touched = set()
-    assert g.remove_vertex(2) == set()
-    assert g.touched == set() and g.num_edges() == 1
-    assert g.remove_vertex(1) == {0}
-    assert g.touched == {0}
-    assert g.remove_vertex(0) == set() and g.touched == {0}
 
 
 def contract_by_edge_moves(g: Graph, keep: int, absorb: int) -> None:
@@ -160,15 +146,12 @@ def test_fold_matches_two_step_reference():
             if base.has_edge(s, r):
                 continue
             g, ref = base.clone(), base.clone()
-            g.touched, ref.touched = set(), set()
             ref.remove_vertex(u)
             common = ref.neighbors(s) & ref.neighbors(r)
             contract_by_edge_moves(ref, r, s)
             assert g.fold(u, s, r) == common
             assert set(g.vertices()) == set(ref.vertices())
             assert edge_set(g) == edge_set(ref) and g.num_edges() == ref.num_edges()
-            live = set(g.vertices())
-            assert g.touched & live == ref.touched & live == {r} | (base.neighbors(s) - {u})
             check_invariants(g)
             folds += 1
     assert folds >= 300
@@ -202,53 +185,6 @@ def test_clone_is_independent():
     h = g.clone()
     h.remove_vertex(0)
     assert g.has_vertex(0) and g.num_edges() == 1
-
-
-def test_touched_collects_changed_neighborhoods():
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert g.touched is None
-    g.touched = set()
-    g.remove_vertex(1)
-    assert g.touched == {0, 2}
-    g.add_vertex(9)
-    g.add_edge(3, 8)
-    assert g.touched == {0, 2, 3, 8, 9}
-    # a fold marks r and every neighbor of s but u, whether or not r gains an edge
-    g.add_edge(2, 5)
-    g.add_edge(4, 5)
-    g.remove_edge(3, 8)
-    g.touched = set()
-    assert g.fold(3, 2, 4) == {5}  # edge 2-5 collapses onto 4-5
-    assert g.touched == {4, 5}
-    g.add_edge(7, 5)
-    g.add_edge(7, 9)
-    g.add_edge(9, 8)
-    g.touched = set()
-    assert g.fold(7, 5, 9) == set()  # edge 5-4 moves to 9-4
-    assert g.touched == {4, 9} and g.has_edge(9, 4)
-    # copies carry the marks: a set is copied, None stays None
-    g.touched = {0, 4}
-    h = g.clone()
-    assert h.touched == {0, 4} and h.touched is not g.touched
-    h.remove_vertex(0)
-    assert g.touched == {0, 4}
-    g.touched = None
-    assert g.clone().touched is None
-    g.add_edge(0, 4)
-    assert g.touched is None
-
-
-def test_induced_subgraph_inherits_marks_and_marks_cut_vertices():
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
-    assert g.induced_subgraph([0, 1, 2]).touched is None
-    g.touched = {0, 3, 5}
-    # 0 keeps its mark; 2 lost its neighbor 3 and 6 lost 5; 1 and 7 lost nothing
-    sub = g.induced_subgraph([0, 1, 2, 6, 7])
-    assert sub.num_vertices() == 5 and sub.num_edges() == 3
-    assert sub.touched == {0, 2, 6}
-    assert g.touched == {0, 3, 5}
-    g.touched = set()
-    assert g.induced_subgraph([5, 6, 7]).touched == set()  # a whole component
 
 
 def test_invariants_hold_under_random_mutation():

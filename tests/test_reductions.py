@@ -189,7 +189,7 @@ def adjacency_snapshot(g):
 
 
 def reduce_by_rescans(g, trace, since=None):
-    """Reference fixpoint without ``Graph.touched``. The degree rules rescan
+    """Reference fixpoint without a changed set. The degree rules rescan
     the whole graph after every firing. The unconfined rule examines, lowest
     id first, the vertices not yet examined among those whose neighborhood
     differs from the snapshot taken at its previous scan, and their
@@ -244,24 +244,97 @@ def test_dirty_fixpoint_matches_full_rescans():
         reduce_by_rescans(ref, t_ref)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert edge_set(g) == edge_set(ref) and sorted(g.vertices()) == sorted(ref.vertices()), seed
-        assert g.touched == set(), seed
 
-        # the reduced graph, which now tracks its changes, loses a few
-        # vertices, as a branch does; only the vertices around them are
-        # re-examined
+        # the reduced graph loses a few vertices, as a branch does; handed
+        # their neighbors, the fixpoint re-examines only the vertices around
+        # them
         since = adjacency_snapshot(g)
         live = sorted(g.vertices())
+        changed = set()
         for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
-            g.remove_vertex(v)
+            changed |= g.remove_vertex(v)
         ref = g.clone()
         t, t_ref = ReductionTrace(), ReductionTrace()
-        reduce_fixpoint(g, t)
+        reduce_fixpoint(g, t, changed)
         reduce_by_rescans(ref, t_ref, since)
         assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
         assert edge_set(g) == edge_set(ref) and sorted(g.vertices()) == sorted(ref.vertices()), seed
-        assert g.touched == set()
         fired += len(t.entries)
     assert fired > 500
+
+
+def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
+    """Handed the neighbors of a branch's deletions, reduce_fixpoint adds to
+    the set every live vertex whose neighborhood its rules change, and no
+    other live vertex. A fold adds r and s's other neighbors, taking a
+    pendant vertex's neighbor adds that neighbor's neighbors, and deleting an
+    isolated vertex adds nothing."""
+    unconfined = 0
+    real = reductions._first_unconfined
+
+    def counting(adj, unchecked):
+        nonlocal unconfined
+        v = real(adj, unchecked)
+        unconfined += v is not None
+        return v
+
+    monkeypatch.setattr(reductions, "_first_unconfined", counting)
+    rng = random.Random(31)
+    firing = 0  # calls in which the unconfined rule fired
+    for seed in range(100):
+        g = reducible_instance(seed)
+        reduce_fixpoint(g, ReductionTrace())
+        live = sorted(g.vertices())
+        changed = set()
+        for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
+            changed |= g.remove_vertex(v)
+        given, before = set(changed), adjacency_snapshot(g)
+        if not given:
+            continue
+        unconfined = 0
+        reduce_fixpoint(g, ReductionTrace(), changed)
+        live = set(g.vertices())
+        moved = {x for x in live if g.neighbors(x) != before[x]}
+        assert changed & live == (given | moved) & live, seed
+        firing += unconfined > 0
+
+    rng = random.Random(3)
+    folds = 0
+    for _ in range(300):
+        n = rng.randrange(3, 10)
+        base = Graph.from_edges(
+            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4],
+            vertices=range(n),
+        )
+        for u in (u for u in range(n) if base.degree(u) == 2):
+            s, r = sorted(base.neighbors(u))
+            g, changed = base.clone(), set()
+            fold_degree2(g, u, ReductionTrace(), changed)
+            if base.has_edge(s, r):
+                want = (base.neighbors(s) | base.neighbors(r)) - {u, s, r}
+            else:
+                want = {r} | (base.neighbors(s) - {u})
+                folds += 1
+            assert changed & set(g.vertices()) == want
+    assert firing >= 15 and folds >= 300
+
+    # K_{4,4} on {0..3} x {4..7}, with 8 joined to 0, 1, 2 and 9, and 9 to 10
+    # and 11, which hang off 4, 5 and 6, 7: triangle-free at minimum degree
+    # 3. Deleting 10 and 11 leaves 9 pendant, and taking 8 cuts 0, 1 and 2.
+    g = Graph.from_edges([
+        *((a, b) for a in range(4) for b in range(4, 8)),
+        (8, 0), (8, 1), (8, 2), (8, 9), (9, 10), (9, 11), (10, 4), (10, 5), (11, 6), (11, 7),
+    ])
+    changed = g.remove_vertex(10) | g.remove_vertex(11)
+    t = ReductionTrace()
+    reduce_fixpoint(g, t, changed)
+    assert t.entries == [Include(8)] and changed & set(g.vertices()) == {0, 1, 2, 4, 5, 6, 7}
+
+    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], vertices=[5])
+    changed = {5}
+    t = ReductionTrace()
+    reduce_fixpoint(g, t, changed)
+    assert changed == {5} and t.entries == [] and g.num_vertices() == 4
 
 
 def test_rule_includes_unconfined_vertices_of_some_minimum_cover(monkeypatch):

@@ -99,10 +99,9 @@ def test_node_budget_raises():
 
 
 def test_graph_reduced_in_place_keeps_its_answers():
-    """A graph reduced in place enters the search with an empty mark set, and
-    one that lost vertices since has those losses marked. The search drops
-    the marks of its copy, so both are scanned in full at the root and solved
-    exactly as their unmarked twins."""
+    """A graph reduced in place, and one that lost vertices since, are
+    scanned in full at the root, so they keep their answers, and the second
+    one is solved exactly as its twin built from scratch."""
     rng = random.Random(29)
     kernels = 0
     for seed in range(50):
@@ -112,7 +111,6 @@ def test_graph_reduced_in_place_keeps_its_answers():
         h = g.clone()
         trace = ReductionTrace()
         reduce_fixpoint(h, trace)
-        assert h.touched == set()
         size, cover, _ = vc_minimum(h)
         lifted = lift_cover(trace, cover)
         assert size + trace.k_delta == opt and len(lifted) == opt, seed
@@ -126,7 +124,6 @@ def test_graph_reduced_in_place_keeps_its_answers():
         for v in rng.sample(live, min(len(live), rng.randrange(1, 4))):
             h.remove_vertex(v)
         twin = Graph.from_edges(h.edges(), h.vertices())
-        assert h.touched and twin.touched is None
         size, _, stats = vc_minimum(h)
         want, _, twin_stats = vc_minimum(twin)
         assert size == want and stats.nodes_expanded == twin_stats.nodes_expanded, seed
@@ -139,8 +136,8 @@ def test_graph_reduced_in_place_keeps_its_answers():
 def test_search_scans_a_marked_graph_in_full():
     """g is at a reduction fixpoint, and losing vertex 6 makes vertex 15
     unconfined three steps away, where the reductions' local scan does not
-    look. The search drops the marks of its copy, so it still reduces the
-    root to nothing, as it does for the unmarked twin."""
+    look. The search hands its root no changed set, so it still reduces the
+    root to nothing, as it does for the twin built from scratch."""
     g = Graph.from_edges([
         (0, 2), (0, 9), (0, 14), (0, 15), (2, 3), (2, 5), (2, 15), (2, 16), (3, 4), (3, 11),
         (3, 13), (4, 11), (4, 14), (4, 15), (5, 8), (5, 9), (6, 8), (6, 10), (6, 13), (6, 16),
@@ -149,10 +146,10 @@ def test_search_scans_a_marked_graph_in_full():
     ])
     trace = ReductionTrace()
     reduce_fixpoint(g, trace)
-    assert trace.entries == [] and g.touched == set()
-    g.remove_vertex(6)
+    assert trace.entries == []
+    changed = g.remove_vertex(6)
     local, trace = g.clone(), ReductionTrace()
-    reduce_fixpoint(local, trace)
+    reduce_fixpoint(local, trace, set(changed))
     assert trace.entries == []
     twin = Graph.from_edges(g.edges(), g.vertices())
     size, _, stats = vc_minimum(g)
@@ -183,9 +180,9 @@ def test_lp_check_before_reductions_skips_the_root(monkeypatch):
 
 
 def test_component_children_check_their_bound_before_their_reductions(monkeypatch):
-    """A component child leaves its parent's reductions with its marks set,
-    so, like a branch child, it is checked against its lower bound before
-    its reductions run."""
+    """A component child is handed an empty changed set, so, like a branch
+    child, it is checked against its lower bound before its reductions run.
+    Within each search, only the root's reductions are handed None."""
     a = generate("cubic", 20, 1)
     g = Graph.from_edges([*a.edges(), *((u + 20, v + 20) for u, v in a.edges())])
     comps = [frozenset(frozenset(e) for e in a.edges()),
@@ -198,15 +195,22 @@ def test_component_children_check_their_bound_before_their_reductions(monkeypatc
         calls.append(("bound", edge_set(h)))
         return real_bound(h, cap, most)
 
-    def reduce(h, trace):
+    def reduce(h, trace, changed):
         calls.append(("reduce", edge_set(h)))
-        return real_reduce(h, trace)
+        handed.append(changed is None)
+        return real_reduce(h, trace, changed)
 
     monkeypatch.setattr(search, "bound_exceeds", bound)
     monkeypatch.setattr(search, "reduce_fixpoint", reduce)
+    handed = []
     assert vc_minimum(g)[0] == want
     for c in comps:
         assert [name for name, edges in calls if edges == c][:2] == ["bound", "reduce"]
+    assert handed[0] and len(handed) > 2 and not any(handed[1:])
+    for k in (want, want - 1):
+        handed = []
+        vc_decide(g, k)
+        assert handed[0] and len(handed) > 2 and not any(handed[1:]), k
 
 
 def test_stats_are_populated():
