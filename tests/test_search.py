@@ -188,7 +188,7 @@ def test_component_children_check_their_bound_before_their_reductions(monkeypatc
     comps = [frozenset(frozenset(e) for e in a.edges()),
              frozenset(frozenset((u + 20, v + 20)) for u, v in a.edges())]
     want = 2 * vc_minimum(a)[0]
-    calls = []
+    calls, handed = [], []  # handed: whether each reduce_fixpoint call got None
     real_bound, real_reduce = search.bound_exceeds, search.reduce_fixpoint
 
     def bound(h, cap, most):
@@ -202,13 +202,12 @@ def test_component_children_check_their_bound_before_their_reductions(monkeypatc
 
     monkeypatch.setattr(search, "bound_exceeds", bound)
     monkeypatch.setattr(search, "reduce_fixpoint", reduce)
-    handed = []
     assert vc_minimum(g)[0] == want
     for c in comps:
         assert [name for name, edges in calls if edges == c][:2] == ["bound", "reduce"]
     assert handed[0] and len(handed) > 2 and not any(handed[1:])
     for k in (want, want - 1):
-        handed = []
+        handed.clear()
         vc_decide(g, k)
         assert handed[0] and len(handed) > 2 and not any(handed[1:]), k
 
