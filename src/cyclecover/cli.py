@@ -9,6 +9,7 @@ consumers should parse stdout and ignore stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -51,14 +52,7 @@ def _read_input(path: str) -> str:
 def _stats_doc(stats: SearchStats, k: int) -> dict:
     report = check_node_budget(stats, k)
     return {
-        "nodes_expanded": stats.nodes_expanded,
-        "max_depth": stats.max_depth,
-        "tau_root": stats.tau_root,
-        "tree_leaf_count": stats.tree_leaf_count,
-        "k_exhausted_leaves": stats.k_exhausted_leaves,
-        "lp_prunes": stats.lp_prunes,
-        "packing_prunes": stats.packing_prunes,
-        "late_packing_prunes": stats.late_packing_prunes,
+        **dataclasses.asdict(stats),
         "envelope_1_15855": report["envelope_1_15855"],
         "envelope_1_1504": report["envelope_1_1504"],
     }
@@ -115,7 +109,7 @@ def _cmd_kernelize(args, warnings):
         warnings,
         answer=None if result.feasible else "NO",
         k=args.k,
-        kernel_dimacs=emit_dimacs(result.kernel) if result.feasible else None,
+        kernel_dimacs=emit_dimacs(g) if result.feasible else None,
         k_residual=result.k_residual,
         feasible=result.feasible,
         lp_value=result.lp_value,

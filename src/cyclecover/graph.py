@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 VertexId = int
@@ -92,13 +91,6 @@ class Graph:
                 if closed:
                     self.triangles |= closed
                     self.triangles.update((u, v))
-
-    def remove_edge(self, u: int, v: int) -> None:
-        if v not in self._adj.get(u, ()):
-            raise ValueError(f"edge {{{u}, {v}}} is not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._m -= 1
 
     def remove_vertex(self, v: int) -> set[int]:
         """Delete v with its edges; returns its former neighbor set, which
@@ -196,44 +188,31 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         """Components as sorted id lists, ordered by smallest member."""
-        seen: set[int] = set()
-        comps: list[list[int]] = []
-        for s in sorted(self._adj):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        queue.append(w)
-            comp.sort()
-            comps.append(comp)
-        return comps
+        return sorted(sorted(comp) for comp in self._components())
 
     def num_components(self) -> int:
-        """The number of components, counted without listing them."""
+        """The number of components, counted without sorting them."""
+        return sum(1 for _ in self._components())
+
+    def _components(self) -> Iterator[list[int]]:
+        """Each component's vertices in breadth-first order from its first
+        vertex in iteration order. The list is the walk's queue, so it
+        grows while it is walked; the walk stops once every vertex is seen."""
         adj = self._adj
         seen: set[int] = set()
-        count = 0
         for s in adj:
             if s in seen:
                 continue
-            count += 1
             seen.add(s)
-            stack = [s]
-            while stack:
-                for w in adj[stack.pop()]:
+            comp = [s]
+            for u in comp:
+                for w in adj[u]:
                     if w not in seen:
                         seen.add(w)
-                        stack.append(w)
+                        comp.append(w)
+            yield comp
             if len(seen) == len(adj):
-                break
-        return count
+                return
 
     def is_connected(self) -> bool:
         return self.num_components() <= 1

@@ -56,7 +56,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graph import Graph
-from .reductions import Include, ReductionTrace
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,8 @@ class NTPartition:
 
 @dataclass
 class KernelResult:
-    kernel: Graph
     k_residual: int
     partition: NTPartition
-    trace: ReductionTrace
     feasible: bool
     lp_times_two: int
 
@@ -329,30 +326,28 @@ def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
     return _double_cover_matching(adj, target)[0] >= target
 
 
-def nt_kernelize(g: Graph, k: int, trace: ReductionTrace | None = None) -> KernelResult:
+def nt_kernelize(g: Graph, k: int) -> KernelResult:
     """Shrink g in place to the kernel induced by the LP halves.
 
-    Value-1 vertices are included via the trace (k_residual = k - #ones),
-    value-0 vertices become isolated once the ones are gone and are deleted
-    without a trace entry. When the LP value already exceeds k the result is
-    an authoritative NO and the graph is left as it was.
+    Value-1 vertices are deleted (k_residual = k - #ones), and value-0
+    vertices, isolated once the ones are gone, are deleted too. A cover C of
+    the kernel lifts to the cover C | partition.ones of the graph handed in,
+    so a minimum one lifts to a minimum one. When the LP value already
+    exceeds k the result is an authoritative NO and the graph is left as it
+    was.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if trace is None:
-        trace = ReductionTrace()
     partition, matching = _half_integral_partition(g)
     k_residual = k - len(partition.ones)
     feasible = k_residual >= 0 and len(partition.halves) <= 2 * k_residual
     if feasible:
         for v in sorted(partition.ones):
-            trace.entries.append(Include(v))
             g.remove_vertex(v)
         for v in sorted(partition.zeros):
             if g.degree(v) != 0:
                 raise AssertionError(f"LP-zero vertex {v} still has a neighbor")
             g.remove_vertex(v)
     return KernelResult(
-        kernel=g, k_residual=k_residual, partition=partition, trace=trace,
-        feasible=feasible, lp_times_two=matching,
+        k_residual=k_residual, partition=partition, feasible=feasible, lp_times_two=matching
     )

@@ -1,11 +1,12 @@
 """Parameter-preserving reductions with a replayable trace.
 
-Every rule mutates the graph and appends one trace entry for each vertex
-the lift will add to the cover: a cover of size s for the reduced graph
-lifts to a cover of size s + k_delta for the original. Deleting an isolated
-vertex costs nothing and leaves no entry. ``reduce_fixpoint`` runs the
-degree rules (isolated, degree-1, degree-2 folding in one ``Graph.fold``
-call) and includes unconfined vertices, a rule that covers domination.
+A trace is a plain list of entries in firing order. Every rule mutates the
+graph and appends one entry for each vertex the lift will add to the cover:
+a cover of size s for the reduced graph lifts to a cover of size
+s + len(trace) for the original. Deleting an isolated vertex costs nothing
+and leaves no entry. ``reduce_fixpoint`` runs the degree rules (isolated,
+degree-1, degree-2 folding in one ``Graph.fold`` call) and includes
+unconfined vertices, a rule that covers domination.
 
 Trace entries are slotted, mutable dataclasses rather than frozen ones: a
 frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
@@ -16,7 +17,7 @@ compare by value.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .graph import Graph
@@ -37,26 +38,17 @@ class FoldDeg2:
 
 
 TraceEntry = Union[Include, FoldDeg2]
-
-
-@dataclass
-class ReductionTrace:
-    """The rules' decisions in firing order. Each entry puts exactly one
-    vertex in the lifted cover, so ``k_delta``, the cost of the reductions,
-    is the number of entries. Rules append to ``entries`` directly."""
-
-    entries: list[TraceEntry] = field(default_factory=list)
-
-    @property
-    def k_delta(self) -> int:
-        return len(self.entries)
+# The rules' decisions in firing order. Each entry puts exactly one vertex in
+# the lifted cover, so the cost of the reductions is the trace's length.
+ReductionTrace = list[TraceEntry]
 
 
 def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
     """Replay the trace backwards, mapping a cover of the reduced graph to a
-    cover of the original. The input must cover the reduced graph."""
+    cover of the original with len(trace) more vertices. The input must
+    cover the reduced graph."""
     cover = set(reduced_cover)
-    for entry in reversed(trace.entries):
+    for entry in reversed(trace):
         if isinstance(entry, Include):
             cover.add(entry.v)
         elif entry.r in cover:
@@ -84,7 +76,7 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace, changed: set[int] | No
     if s > r:
         s, r = r, s
     if r in adj[s]:
-        trace.entries.extend((Include(s), Include(r)))
+        trace.extend((Include(s), Include(r)))
         fell = g.remove_vertex(s)
         fell |= g.remove_vertex(r)
         g.remove_vertex(u)
@@ -98,7 +90,7 @@ def fold_degree2(g: Graph, u: int, trace: ReductionTrace, changed: set[int] | No
             changed.add(r)
         fell = g.fold(u, s, r)
         fell.add(r)
-        trace.entries.append(FoldDeg2(u, s, r))
+        trace.append(FoldDeg2(u, s, r))
     return fell
 
 
@@ -124,7 +116,7 @@ def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None 
     todo.sort(reverse=True)
     heap: list[int] = []
     heappush, heappop, next_todo = heapq.heappush, heapq.heappop, todo.pop
-    append = trace.entries.append
+    append = trace.append
     remove_vertex = g.remove_vertex
     while True:
         if heap and (not todo or heap[0] < todo[-1]):
@@ -197,7 +189,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, changed: set[int] | None = 
         v = _first_unconfined(adj, unchecked)
         if v is None:
             return
-        trace.entries.append(Include(v))
+        trace.append(Include(v))
         fresh = g.remove_vertex(v)
 
 

@@ -126,9 +126,9 @@ def _node(
     if changed is not None and _bound_exceeds(g, cap, stats, late=False):
         return None
 
-    trace = ReductionTrace()
+    trace: ReductionTrace = []
     reduce_fixpoint(g, trace, changed)
-    cap -= trace.k_delta
+    cap -= len(trace)
     if cap < 0:
         stats.k_exhausted_leaves += 1
         return None
@@ -159,7 +159,7 @@ def _node(
                 size, cover = len(nlist) + exc[0], exc[1].union(nlist)
             elif inc is None:
                 return None
-    return trace.k_delta + size, lift_cover(trace, cover)
+    return len(trace) + size, lift_cover(trace, cover)
 
 
 def _bound_exceeds(g: Graph, cap: int, stats: SearchStats, late: bool) -> bool:

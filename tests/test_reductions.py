@@ -10,7 +10,6 @@ from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import (
     FoldDeg2,
     Include,
-    ReductionTrace,
     fold_degree2,
     lift_cover,
     reduce_fixpoint,
@@ -22,36 +21,37 @@ from graph_checks import closed_neighborhood, edge_set
 
 
 def residual_optimum(g, trace):
-    """k_delta plus the reduced graph's optimum, lifted and re-checked."""
+    """The trace's length plus the reduced graph's optimum, and the lifted
+    optimal cover."""
     size, cover = min_vc_bruteforce(g)
-    return trace.k_delta + size, lift_cover(trace, cover)
+    return len(trace) + size, lift_cover(trace, cover)
 
 
 def test_degree1_takes_the_neighbor():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])  # path
-    t = ReductionTrace()
+    t = []
     reduce_low_degree(g, t)
     assert g.num_vertices() == 0
     lifted = lift_cover(t, set())
-    assert t.k_delta == len(lifted) == 2
+    assert len(t) == len(lifted) == 2
 
 
 def test_isolated_vertices_dropped_for_free():
     g = Graph.from_edges([(0, 1)], vertices=[5, 6])
-    t = ReductionTrace()
+    t = []
     reduce_low_degree(g, t)
-    assert t.k_delta == 1
+    assert len(t) == 1
     assert g.num_vertices() == 0
 
 
 def test_fold_nonadjacent_contracts():
     # 1-0-2 with tails; folding 0 merges 1 and 2
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4)])
-    t = ReductionTrace()
+    t = []
     fold_degree2(g, 0, t)
-    assert t.k_delta == 1
+    assert len(t) == 1
     assert not g.has_vertex(0)
-    entry = t.entries[-1]
+    entry = t[-1]
     assert isinstance(entry, FoldDeg2)
     # r inherits both tails
     assert g.degree(entry.r) == 2
@@ -59,9 +59,9 @@ def test_fold_nonadjacent_contracts():
 
 def test_fold_adjacent_takes_both_neighbors():
     g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])  # triangle + tails
-    t = ReductionTrace()
+    t = []
     fold_degree2(g, 0, t)
-    assert t.k_delta == 2
+    assert len(t) == 2
     lifted = lift_cover(t, set())
     assert lifted == {1, 2}
 
@@ -70,7 +70,7 @@ def test_fold_lift_both_sides():
     # C5: fold any degree-2 vertex, optimum must survive through the lift
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     opt, _ = min_vc_bruteforce(g)
-    t = ReductionTrace()
+    t = []
     fold_degree2(g, 0, t)
     size, lifted = residual_optimum(g, t)
     assert size == opt == 3
@@ -83,26 +83,26 @@ def test_domination_adjacent_superset():
     # domination test at |S| = 1, takes 0 first
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (0, 4)]
     g = Graph.from_edges(edges)
-    t = ReductionTrace()
+    t = []
     reduce_fixpoint(g, t)
-    assert t.entries[0] == Include(0)
-    assert g.num_vertices() == 0 and t.k_delta == 3
+    assert t[0] == Include(0)
+    assert g.num_vertices() == 0 and len(t) == 3
     assert is_vertex_cover(Graph.from_edges(edges), lift_cover(t, set()))
 
 
 def test_trace_vocabulary_is_what_the_rules_emit():
     emitted = set()
     for seed in range(300):
-        t = ReductionTrace()
+        t = []
         reduce_fixpoint(mixed_instance(seed), t)
-        emitted |= {type(entry) for entry in t.entries}
+        emitted |= {type(entry) for entry in t}
     assert set(typing.get_args(reductions.TraceEntry)) == emitted == {Include, FoldDeg2}
 
 
 def test_fixpoint_reaches_min_degree_three():
     for seed in range(30):
         g = mixed_instance(seed, max_n=14)
-        t = ReductionTrace()
+        t = []
         reduce_fixpoint(g, t)
         assert all(g.degree(v) >= 3 for v in g.vertices()), seed
 
@@ -112,7 +112,7 @@ def test_fixpoint_preserves_optimum():
         g = mixed_instance(seed, max_n=14)
         opt, _ = min_vc_bruteforce(g)
         orig = g.clone()
-        t = ReductionTrace()
+        t = []
         reduce_fixpoint(g, t)
         if g.num_vertices() > 26:
             continue
@@ -125,9 +125,9 @@ def test_fixpoint_preserves_optimum():
 def test_lift_is_order_sensitive_replay():
     # fold then force the merged vertex r: replay must add the folded pair
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
-    t = ReductionTrace()
+    t = []
     fold_degree2(g, 0, t)
-    entry = t.entries[-1]
+    entry = t[-1]
     size, cover = min_vc_bruteforce(g)
     lifted = lift_cover(t, cover)
     orig = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -149,12 +149,12 @@ def low_degree_by_full_rescans(g, trace):
             g.remove_vertex(v)
         elif g.degree(v) == 1:
             (w,) = g.neighbors(v)
-            trace.entries.append(Include(w))
+            trace.append(Include(w))
             g.remove_vertex(w)
         else:
             s, r = sorted(g.neighbors(v))
             if g.has_edge(s, r):
-                trace.entries += [Include(s), Include(r)]
+                trace += [Include(s), Include(r)]
                 for x in (s, r, v):
                     g.remove_vertex(x)
             else:
@@ -162,7 +162,7 @@ def low_degree_by_full_rescans(g, trace):
                 for w in sorted(g.neighbors(s)):
                     g.add_edge(r, w)
                 g.remove_vertex(s)
-                trace.entries.append(FoldDeg2(u=v, s=s, r=r))
+                trace.append(FoldDeg2(u=v, s=s, r=r))
 
 
 def is_unconfined(g, v):
@@ -213,7 +213,7 @@ def reduce_by_rescans(g, trace, since=None):
                 break
         if found is None:
             return
-        trace.entries.append(Include(found))
+        trace.append(Include(found))
         g.remove_vertex(found)
 
 
@@ -239,10 +239,10 @@ def test_dirty_fixpoint_matches_full_rescans():
     for seed in range(150):
         g = reducible_instance(seed)
         ref = g.clone()
-        t, t_ref = ReductionTrace(), ReductionTrace()
+        t, t_ref = [], []
         reduce_fixpoint(g, t)
         reduce_by_rescans(ref, t_ref)
-        assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
+        assert t == t_ref, seed
         assert edge_set(g) == edge_set(ref) and sorted(g.vertices()) == sorted(ref.vertices()), seed
 
         # the reduced graph loses a few vertices, as a branch does; handed
@@ -254,12 +254,12 @@ def test_dirty_fixpoint_matches_full_rescans():
         for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
             changed |= g.remove_vertex(v)
         ref = g.clone()
-        t, t_ref = ReductionTrace(), ReductionTrace()
+        t, t_ref = [], []
         reduce_fixpoint(g, t, changed)
         reduce_by_rescans(ref, t_ref, since)
-        assert t.entries == t_ref.entries and t.k_delta == t_ref.k_delta, seed
+        assert t == t_ref, seed
         assert edge_set(g) == edge_set(ref) and sorted(g.vertices()) == sorted(ref.vertices()), seed
-        fired += len(t.entries)
+        fired += len(t)
     assert fired > 500
 
 
@@ -283,7 +283,7 @@ def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
     firing = 0  # calls in which the unconfined rule fired
     for seed in range(100):
         g = reducible_instance(seed)
-        reduce_fixpoint(g, ReductionTrace())
+        reduce_fixpoint(g, [])
         live = sorted(g.vertices())
         changed = set()
         for v in rng.sample(live, min(len(live), rng.randrange(1, 7))):
@@ -292,7 +292,7 @@ def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
         if not given:
             continue
         unconfined = 0
-        reduce_fixpoint(g, ReductionTrace(), changed)
+        reduce_fixpoint(g, [], changed)
         live = set(g.vertices())
         moved = {x for x in live if g.neighbors(x) != before[x]}
         assert changed & live == (given | moved) & live, seed
@@ -309,7 +309,7 @@ def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
         for u in (u for u in range(n) if base.degree(u) == 2):
             s, r = sorted(base.neighbors(u))
             g, changed = base.clone(), set()
-            fold_degree2(g, u, ReductionTrace(), changed)
+            fold_degree2(g, u, [], changed)
             if base.has_edge(s, r):
                 want = (base.neighbors(s) | base.neighbors(r)) - {u, s, r}
             else:
@@ -326,15 +326,15 @@ def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
         (8, 0), (8, 1), (8, 2), (8, 9), (9, 10), (9, 11), (10, 4), (10, 5), (11, 6), (11, 7),
     ])
     changed = g.remove_vertex(10) | g.remove_vertex(11)
-    t = ReductionTrace()
+    t = []
     reduce_fixpoint(g, t, changed)
-    assert t.entries == [Include(8)] and changed & set(g.vertices()) == {0, 1, 2, 4, 5, 6, 7}
+    assert t == [Include(8)] and changed & set(g.vertices()) == {0, 1, 2, 4, 5, 6, 7}
 
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], vertices=[5])
     changed = {5}
-    t = ReductionTrace()
+    t = []
     reduce_fixpoint(g, t, changed)
-    assert changed == {5} and t.entries == [] and g.num_vertices() == 4
+    assert changed == {5} and t == [] and g.num_vertices() == 4
 
 
 def test_rule_includes_unconfined_vertices_of_some_minimum_cover(monkeypatch):
@@ -352,7 +352,7 @@ def test_rule_includes_unconfined_vertices_of_some_minimum_cover(monkeypatch):
     for _ in range(300):
         n = rng.randrange(8, 23)
         g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=4 * n)
-        reduce_fixpoint(g, ReductionTrace())
+        reduce_fixpoint(g, [])
     assert len(included) > 100
     for h, v in included:
         assert is_unconfined(h, v)
@@ -369,7 +369,7 @@ def test_unconfined_beyond_domination():
     adj = {v: prism.neighbors(v) for v in prism.vertices()}
     assert not any(len(adj[v] - adj[u]) == 1 for u in adj for v in adj[u])
     assert all(is_unconfined(prism, v) for v in prism.vertices())
-    t = ReductionTrace()
+    t = []
     reduce_fixpoint(prism, t)
-    assert t.entries[0] == Include(0)
-    assert prism.num_vertices() == 0 and t.k_delta == 4 == len(lift_cover(t, set()))
+    assert t[0] == Include(0)
+    assert prism.num_vertices() == 0 and len(t) == 4 == len(lift_cover(t, set()))

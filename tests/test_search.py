@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import random
 import sys
 
@@ -11,7 +12,7 @@ from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
-from cyclecover.reductions import ReductionTrace, lift_cover, reduce_fixpoint
+from cyclecover.reductions import lift_cover, reduce_fixpoint
 from cyclecover.search import check_node_budget, vc_decide, vc_minimum
 
 from conftest import mixed_instance
@@ -109,11 +110,11 @@ def test_graph_reduced_in_place_keeps_its_answers():
         g = random_max_degree(n, rng, max_deg=rng.randrange(4, 6), proposals=4 * n)
         opt = vc_minimum(g)[0]
         h = g.clone()
-        trace = ReductionTrace()
+        trace = []
         reduce_fixpoint(h, trace)
         size, cover, _ = vc_minimum(h)
         lifted = lift_cover(trace, cover)
-        assert size + trace.k_delta == opt and len(lifted) == opt, seed
+        assert size + len(trace) == opt and len(lifted) == opt, seed
         assert is_vertex_cover(g, lifted), seed
         assert vc_decide(h, size).answer == "YES", seed
         assert size == 0 or vc_decide(h, size - 1).answer == "NO", seed
@@ -144,13 +145,13 @@ def test_search_scans_a_marked_graph_in_full():
         (7, 9), (7, 11), (7, 14), (7, 17), (8, 10), (8, 16), (9, 15), (10, 13), (10, 17),
         (11, 15), (13, 16), (16, 17),
     ])
-    trace = ReductionTrace()
+    trace = []
     reduce_fixpoint(g, trace)
-    assert trace.entries == []
+    assert trace == []
     changed = g.remove_vertex(6)
-    local, trace = g.clone(), ReductionTrace()
+    local, trace = g.clone(), []
     reduce_fixpoint(local, trace, set(changed))
-    assert trace.entries == []
+    assert trace == []
     twin = Graph.from_edges(g.edges(), g.vertices())
     size, _, stats = vc_minimum(g)
     want, _, twin_stats = vc_minimum(twin)
@@ -221,6 +222,8 @@ def test_stats_are_populated():
     assert report["k"] == 6
     assert report["envelope_1_15855"] == pytest.approx(1.15855**6)
     assert report["nodes_expanded"] == stats.nodes_expanded
+    assert report["log_nodes_over_k"] == pytest.approx(math.log(stats.nodes_expanded) / 6)
+    assert check_node_budget(stats, 0)["log_nodes_over_k"] is None
     huge = check_node_budget(stats, 7000)  # 1.1504**7000 is beyond float range
     assert huge["envelope_1_15855"] is None and huge["envelope_1_1504"] is None
     assert huge["within_envelope_1_15855"] and huge["within_envelope_1_1504"]
