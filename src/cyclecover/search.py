@@ -18,11 +18,14 @@ The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
 feasible). Where the LP bound can at most tie the budget, cap >= n/2, an
 odd-cycle packing bound lifts it: (|C| + 1) / 2 vertices of each of t
 disjoint odd cycles C, triangles first, plus the LP bound of the rest. It
-can prune only with need = 2 * cap - n + 1 cycles packed, and on reduced
+can prune only with need = 2 * cap - n + 1 cycles packed and a rest whose
+double cover has a perfect matching, so the packing skips the cycles that
+would leave the rest without one for a local reason (a free vertex with no
+free neighbour, or two whose one free neighbour is the same). On reduced
 cubic-like graphs, whose LP bound is almost always ceil(n/2), it prunes
 where the LP bound cannot. One kernel call, ``bound_exceeds``, checks
 whichever bound applies and stops once it knows the answer. Every node
-checks after its reductions, packing up to need 4; that check is at least
+checks after its reductions, packing up to need 6; that check is at least
 as strong as the Nemhauser-Trotter kernel's infeasibility test before them,
 so the search runs no NT kernel. Every branch and component child also
 checks before its reductions, packing up to need 2: every rule keeps
@@ -71,8 +74,12 @@ from .treecover import min_vc_forest
 # reductions and after them. Before: a failed check is repeated after the
 # reductions at the same or a lower need, so it is kept cheap.
 EARLY_PACKING_MOST = 2
-# After: it is the node's last bound before it branches or splits.
-LATE_PACKING_MOST = 4
+# After: it is the node's last bound before it branches or splits. Against
+# 4, on the benchmark's seed-1 corpora, 6 adds checks at need 5 and 6 that
+# prune 18% and 9% of the time on ``cubic`` and 35% and 26% on ``maxdeg5``;
+# with the packing's skips, nodes fall 7.7% and 10.8%, and 24% on the 12
+# cubic graphs tests/test_search.py pins.
+LATE_PACKING_MOST = 6
 ENVELOPE_BASE_PLAIN = 1.15855
 ENVELOPE_BASE_INTERLEAVED = 1.1504
 NODE_BUDGET = 10**8

@@ -2,11 +2,12 @@
 
 The dispatch is a greedy heuristic: take the highest-degree vertex, and among
 degree-4 candidates prefer one with mirrors, otherwise maximize a
-conservative estimate of how much cycle structure the exclude branch destroys
-(``estimate_vector``). The estimate components are lower bounds on the tau
-drop only for children that stay connected (and, on the exclude side, only
-while the neighborhood stays sparse); the test fixture ``checked_branchings``
-checks them at every branching, and correctness never depends on them.
+conservative estimate of how much cycle structure the exclude branch
+destroys: the neighbors' degree sum minus 2 deg(v) minus 1. That estimate
+is a lower bound on the tau drop only for children that stay connected and
+only while the neighborhood stays sparse; the test fixture
+``checked_branchings`` checks it at every branching, and correctness never
+depends on it.
 
 Every plan carries the mirrors of its vertex, which the include branch takes
 along with it: some minimum cover holds either N(v) or v and all its mirrors
@@ -33,22 +34,6 @@ class BranchPlan:
     vertex: int
     mirrors: frozenset[int]
     rule_tag: RuleTag
-
-
-def estimate_vector(g: Graph, v: int) -> tuple[int, int]:
-    """(include, exclude) estimates of the tau drop.
-
-    Include: removing v costs its degree minus one circuit-rank units.
-    Exclude: removing N[v] costs at least the neighbors' degree sum minus
-    2 deg(v) minus 1, clamped at zero.
-    """
-    d = g.degree(v)
-    if d < 3:
-        raise ValueError(f"estimate needs degree >= 3, got {d}")
-    neighbor_sum = sum(g.degree(w) for w in g.neighbors(v))
-    include = d - 1
-    exclude = max(0, neighbor_sum - 2 * d + 1)
-    return include, exclude
 
 
 def mirrors(g: Graph, v: int) -> frozenset[int]:

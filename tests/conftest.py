@@ -8,8 +8,10 @@ import pytest
 import cyclecover.search
 from cyclecover.generators import generate, random_max_degree
 from cyclecover.graph import Graph
-from cyclecover.selection import BranchPlan, estimate_vector
+from cyclecover.selection import BranchPlan
 from cyclecover.structure import tau
+
+from graph_checks import estimate_vector
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:

@@ -40,3 +40,19 @@ def check_triangle_index(g: Graph) -> None:
         nbrs = g.neighbors(v)
         if any(g.neighbors(w) & nbrs for w in nbrs) and v not in g.triangles:
             raise AssertionError(f"vertex {v} lies on a triangle but is not indexed")
+
+
+def estimate_vector(g: Graph, v: int) -> tuple[int, int]:
+    """(include, exclude) estimates of the tau drop.
+
+    Include: removing v costs its degree minus one circuit-rank units.
+    Exclude: removing N[v] costs at least the neighbors' degree sum minus
+    2 deg(v) minus 1, clamped at zero.
+    """
+    d = g.degree(v)
+    if d < 3:
+        raise ValueError(f"estimate needs degree >= 3, got {d}")
+    neighbor_sum = sum(g.degree(w) for w in g.neighbors(v))
+    include = d - 1
+    exclude = max(0, neighbor_sum - 2 * d + 1)
+    return include, exclude

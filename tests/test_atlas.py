@@ -23,7 +23,7 @@ from cyclecover.selection import select
 nx = pytest.importorskip("networkx")
 
 RELABELINGS = 3
-PACKING_GATES = (0, 2, 4, 99)  # the most argument of bound_exceeds
+PACKING_GATES = (0, 2, 4, 6, 8, 99)  # the most argument of bound_exceeds
 
 
 def atlas_twins():

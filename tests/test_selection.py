@@ -5,16 +5,10 @@ import pytest
 
 from cyclecover.generators import complete_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
-from cyclecover.selection import (
-    RuleTag,
-    estimate_vector,
-    mirrors,
-    select,
-    shortest_cycle_through,
-)
+from cyclecover.selection import RuleTag, mirrors, select, shortest_cycle_through
 
 from conftest import gnp, mixed_instance
-from graph_checks import closed_neighborhood
+from graph_checks import closed_neighborhood, estimate_vector
 
 
 def prism():
