@@ -32,29 +32,39 @@ can at most tie the budget it lifts it: a cover holds (|C| + 1) / 2 vertices
 of each of t disjoint odd cycles C and covers the rest R, so VC(G) >= sum
 (|C| + 1) / 2 + LP(R), in the spirit of the clique-cover and cycle-cover
 bounds of Akiba & Iwata (TCS 2016). It packs triangles greedily and, where
-they run out, the odd cycles a BFS over the free vertices closes, skips
-each cycle that would strand a free vertex or leave two on one free
-neighbour, and matches the double cover of R read off an adjacency
-mapping, without building a ``Graph``. The triangle pass walks only the
-members of ``Graph.triangles``. The caller gates the need, the number of
-cycles a prune takes: the search packs up to two before a node's
+they run out, the odd cycles a BFS over the free vertices closes, and it
+matches the double cover of R read off an adjacency mapping, without
+building a ``Graph``. On the benchmark's seed-1 ``cubic`` corpus, decide at
+opt - 1 on one 2-vCPU host, a check that packs takes 73-86 us, against
+30-47 us with triangles alone, which gave up without a matching on 512 of
+their 768 checks; the packing itself is about 28 us. The stronger bound
+leaves 507 checks, and the decides run about 11% faster. The triangle
+pass walks only the members of ``Graph.triangles``: on the same corpus,
+minimize and both decides, a packing took 33 us against 54 us when it
+walked every vertex (1,461 calls). The caller gates the need, the number
+of cycles a prune takes: the search packs up to two before a node's
 reductions and up to six after them (``search.EARLY_PACKING_MOST``,
-``LATE_PACKING_MOST``).
-The skips cost time. On one 2-vCPU host, over the checks the search makes
-at need 1-6 on the benchmark's seed-1 corpora (minimize and both decides),
-timed on the same inputs, a packing costs 1.7 times (``cubic``) and 2.2
-times (``maxdeg5``) what it cost without skips, about 3.5 us a cycle
-judged, and a check 1.3 and 1.4 times: 89-98 us and 75-87 us at need 5-6,
-against 67-75 us and 51-55 us. Against a gate of 4 without skips, the
-search's nodes fall 7.7% and 10.8% there while its process CPU rises
-5-13% and 3-7%. On cubic graphs with n = 280 and 320 nodes fall 32-41%,
-and CPU fell in 33 of 36 pairs of runs alternated with the old search.
+``LATE_PACKING_MOST``). Against need <= 2 at both, a late gate of four cut
+the benchmark's ``cubic`` nodes by 15% at flat times; need <= 4 at both
+cost 4-6% more time. With no gate the decides took 30-45% longer.
+A prune needs the rest's double cover to match perfectly, and a vertex
+next to the packed cycles that is left with no neighbour, or with the same
+one neighbour as another, rules that out; ``_rest`` looks for one before
+the matching runs. Over the search's checks on the benchmark's seed-1
+``cubic`` corpus, on the same host, 56-70% of the failed checks at need
+4-6 end there, and a check at need 4, 5 and 6 takes 58, 65 and 72 us,
+against 65, 72 and 82 us without the look on the same inputs. On that
+corpus the checks at need 5 and 6 still cost more than the nodes they
+save: minimize and both decides take about 5% more process CPU than with
+a late gate of four. On random cubic graphs with n = 280 (seeds 1-4) and
+n = 320 (seeds 1-3), minimize expands 19-35% fewer nodes, and its process
+CPU falls on six of the seven.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -226,93 +236,56 @@ def _odd_cycle_packing(
     adj: Mapping[int, set[int]], need: int, triangles: set[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Up to need >= 1 vertex-disjoint odd cycles of the graph with adjacency
-    adj that the rest can afford.
-
-    The rest cannot afford a cycle whose packing would leave an unpacked
-    vertex with no unpacked neighbour, or two unpacked vertices whose only
-    unpacked neighbour is the same vertex: either leaves the rest without a
-    perfect double cover whatever is packed later, and the check needs one.
-    Such a cycle is skipped. The packing counts each free vertex's packed
-    neighbours as it packs, and keeps the single free neighbour of each
-    free vertex left with one, so a cycle is judged by a look at its own
-    neighbours.
+    adj.
 
     Triangles come first, packed greedily in adj's order: a vertex v not yet
-    packed offers, for each free neighbour u of higher id that closes a
-    triangle with it, the triangle with the lowest-id free vertex that
-    closes it, and the first the rest affords is packed. Given
-    ``Graph.triangles``, a superset of the vertices on a triangle, the pass
-    skips the vertices outside it, which take none. Where triangles run
-    out, a BFS over the free vertices runs from each free vertex in turn, in
-    adj's order (``_odd_cycle``). A packing that skips no cycle is the one
-    packed without the rule, so the rule only adds prunes."""
-    used: set[int] = set()  # packed, or in a component a BFS set aside
+    packed takes the first free neighbour u of higher id that closes a
+    triangle with it, and the lowest-id free vertex that closes it. A
+    triangle whose vertices all stay free would have been taken at its
+    lowest vertex. Given ``Graph.triangles``, a superset of the vertices on
+    a triangle, the pass skips the vertices outside it, which take none, so
+    it packs the same triangles in the same order. Where triangles run out,
+    a BFS over the free vertices runs from each free vertex in turn, in
+    adj's order, and packs the odd cycle that the first edge inside one of
+    its layers closes (``_odd_cycle``); a BFS that finds none has walked a
+    bipartite component of the free vertices, which it sets aside. So unless
+    the packing stops at need, the vertices it leaves induce a bipartite
+    graph."""
+    used: set[int] = set()
     packed: list[tuple[int, ...]] = []
-    lost: dict[int, int] = {}  # packed neighbours of a free vertex
-    hubs: set[int] = set()  # the one free neighbour of each free vertex left with one
-
-    def take(cycle: tuple[int, ...]) -> bool:
-        # A set-aside component has no edge to a later cycle, so every used
-        # vertex next to one is packed. The cycle joins used while it is
-        # judged, and leaves it again if refused.
-        if not hubs.isdisjoint(cycle):
-            return False  # a vertex would lose its one free neighbour
-        used.update(cycle)
-        hit: dict[int, int] = {}
-        for c in cycle:
-            for w in adj[c]:
-                if w not in used:
-                    hit[w] = hit.get(w, 0) + 1
-        new_hubs = set()
-        for w, k in hit.items():  # a break refuses the cycle
-            left = len(adj[w]) - lost.get(w, 0) - k
-            if left <= 1:
-                if left == 0:
-                    break
-                for hub in adj[w]:
-                    if hub not in used:
-                        break
-                if hub in hubs or hub in new_hubs:
-                    break
-                new_hubs.add(hub)
-        else:
-            packed.append(cycle)
-            if len(packed) < need:
-                hubs.update(new_hubs)
-                for w, k in hit.items():
-                    lost[w] = lost.get(w, 0) + k
-            return True
-        used.difference_update(cycle)
-        return False
-
-    for v in adj if triangles is None else filter(triangles.__contains__, adj):
-        if v in used:
+    on_triangles = adj.keys() if triangles is None else triangles
+    for v, nv in adj.items():
+        if v in used or v not in on_triangles:
             continue
-        free = adj[v] - used if used else adj[v]
+        free = nv - used if used else nv
         for u in free:
-            if u > v and not free.isdisjoint(adj[u]) and take((v, u, min(free & adj[u]))):
+            if u > v and not free.isdisjoint(adj[u]):
+                packed.append((v, u, min(free & adj[u])))
                 if len(packed) == need:
                     return packed
+                used.update(packed[-1])
                 break
     for root in adj:
-        if root not in used and _odd_cycle(adj, root, used, take) and len(packed) == need:
-            break
+        if root in used:
+            continue
+        cycle = _odd_cycle(adj, root, used)
+        if cycle is not None:
+            packed.append(cycle)
+            if len(packed) == need:
+                break
+            used.update(cycle)
     return packed
 
 
-def _odd_cycle(
-    adj: Mapping[int, set[int]], root: int, used: set[int], take: Callable[[tuple[int, ...]], bool]
-) -> bool:
-    """Whether take packs one of the odd cycles that the edges {u, w} inside
-    the layers of a BFS from root, over the vertices not in used, close: the
-    tree paths from u and w up to their lowest common ancestor, plus the
-    edge. They are offered in the order the BFS meets them, and each once.
-    Where take packs none, root's component of free vertices joins used, so
-    no later root offers them again."""
+def _odd_cycle(adj: Mapping[int, set[int]], root: int, used: set[int]) -> tuple[int, ...] | None:
+    """The odd cycle that the first edge {u, w} inside a layer of a BFS from
+    root, over the vertices not in used, closes: the tree paths from u and w
+    up to their lowest common ancestor, plus the edge. Without such an edge
+    root's component of free vertices is bipartite; its vertices join used,
+    and the answer is None."""
     parent = {root: root}
     depth = {root: 0}
     queue = [root]
-    skipped = set()  # each layer edge is met from both ends
     for u in queue:
         d = depth[u]
         for w in adj[u]:
@@ -323,17 +296,36 @@ def _odd_cycle(
                 parent[w] = u
                 depth[w] = d + 1
                 queue.append(w)
-            elif dw == d and (u, w) not in skipped:
+            elif dw == d:
                 up, down = [u], [w]  # equal depths, so they meet at the ancestor
                 while up[-1] != down[-1]:
                     up.append(parent[up[-1]])
                     down.append(parent[down[-1]])
                 down.pop()
-                if take((*up, *reversed(down))):
-                    return True
-                skipped.add((w, u))
+                return (*up, *reversed(down))
     used.update(queue)
-    return False
+    return None
+
+
+def _rest(adj: Mapping[int, set[int]], packed: list[tuple[int, ...]]) -> dict[int, set[int]] | None:
+    """The adjacency of the graph with adjacency adj minus the packed
+    cycles, or None where a vertex next to them shows that the rest's double
+    cover has no perfect matching: it is left with no neighbour, or with the
+    same one neighbour as another such vertex."""
+    out = set().union(*packed)
+    near: dict[int, set[int]] = {}
+    hubs: set[int] = set()  # the one neighbour of each vertex left with one
+    for w in set().union(*map(adj.__getitem__, out)) - out:  # only they lose edges
+        near[w] = nw = adj[w] - out
+        if len(nw) < 2:
+            if not nw or nw <= hubs:
+                return None
+            hubs |= nw
+    rest = dict(adj)
+    for v in out:
+        del rest[v]
+    rest.update(near)
+    return rest
 
 
 def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
@@ -345,7 +337,8 @@ def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
     largest need the caller will pay a packing for, the answer is False.
     The matching stops once it knows the answer; after a packing its target
     is the rest's vertex count, so it gives up at the first left copy it
-    proves unmatchable.
+    proves unmatchable, and the check gives up before it where ``_rest``
+    finds such a copy next to the cycles.
     """
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
@@ -353,14 +346,9 @@ def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
         return False
     if need >= 1:
         packed = _odd_cycle_packing(adj, need, g.triangles)
-        if len(packed) < need:
+        rest = _rest(adj, packed) if len(packed) == need else None
+        if rest is None:
             return False
-        out = set().union(*packed)
-        rest = dict(adj)
-        for v in out:
-            del rest[v]
-        for w in set().union(*map(adj.__getitem__, out)) - out:  # only they lose edges
-            rest[w] = adj[w] - out
         adj = rest
         cap -= sum((len(c) + 1) // 2 for c in packed)
     target = 2 * cap + 1

@@ -18,10 +18,7 @@ The LP value of an n-vertex graph is at most n/2 (x = 1/2 everywhere is
 feasible). Where the LP bound can at most tie the budget, cap >= n/2, an
 odd-cycle packing bound lifts it: (|C| + 1) / 2 vertices of each of t
 disjoint odd cycles C, triangles first, plus the LP bound of the rest. It
-can prune only with need = 2 * cap - n + 1 cycles packed and a rest whose
-double cover has a perfect matching, so the packing skips the cycles that
-would leave the rest without one for a local reason (a free vertex with no
-free neighbour, or two whose one free neighbour is the same). On reduced
+can prune only with need = 2 * cap - n + 1 cycles packed, and on reduced
 cubic-like graphs, whose LP bound is almost always ceil(n/2), it prunes
 where the LP bound cannot. One kernel call, ``bound_exceeds``, checks
 whichever bound applies and stops once it knows the answer. Every node
@@ -76,9 +73,10 @@ from .treecover import min_vc_forest
 EARLY_PACKING_MOST = 2
 # After: it is the node's last bound before it branches or splits. Against
 # 4, on the benchmark's seed-1 corpora, 6 adds checks at need 5 and 6 that
-# prune 18% and 9% of the time on ``cubic`` and 35% and 26% on ``maxdeg5``;
-# with the packing's skips, nodes fall 7.7% and 10.8%, and 24% on the 12
-# cubic graphs tests/test_search.py pins.
+# prune 12% and 7% of the time on ``cubic`` and 29% and 19% on ``maxdeg5``;
+# nodes fall 4% and 8% there, and 15% on the 12 cubic graphs
+# tests/test_search.py pins. Process CPU rose about 5% on ``cubic`` and
+# stayed flat on ``maxdeg5``; on cubic graphs with n = 280-320 it fell.
 LATE_PACKING_MOST = 6
 ENVELOPE_BASE_PLAIN = 1.15855
 ENVELOPE_BASE_INTERLEAVED = 1.1504
