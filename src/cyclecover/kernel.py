@@ -26,6 +26,11 @@ on the benchmark's seed-1 corpora):
   greedy plus Kuhn searches take 11.7 s.
 It loses where Hopcroft-Karp's first greedy pass, in sorted order, happens
 to be perfect: on a 100 x 100 grid numbered row by row, 162 ms against 21 ms.
+The greedy pass takes an augmenting path of length three wherever a left
+copy finds no free partner, which a search would otherwise find at more
+cost: on the same host that took 8% (``cubic``) and 6% (``maxdeg5``) off
+the search's checks at need 1-6 on the seed-1 corpora, and the random
+graph above took 0.61-0.85 s against 1.06-1.19 s; grids stayed level.
 
 ``bound_exceeds`` is the search's one lower-bound check. Where the LP bound
 can at most tie the budget it lifts it: a cover holds (|C| + 1) / 2 vertices
@@ -54,11 +59,12 @@ the matching runs. Over the search's checks on the benchmark's seed-1
 ``cubic`` corpus, on the same host, 56-70% of the failed checks at need
 4-6 end there, and a check at need 4, 5 and 6 takes 58, 65 and 72 us,
 against 65, 72 and 82 us without the look on the same inputs. On that
-corpus the checks at need 5 and 6 still cost more than the nodes they
-save: minimize and both decides take about 5% more process CPU than with
-a late gate of four. On random cubic graphs with n = 280 (seeds 1-4) and
-n = 320 (seeds 1-3), minimize expands 19-35% fewer nodes, and its process
-CPU falls on six of the seven.
+corpus the checks at need 5 and 6 prune 10% of the time and cost about 5%
+of process CPU, more than the 3-4% of nodes they save; the matching's
+length-three step above wins that back. On random cubic graphs with
+n = 280 (seeds 1-4) and n = 320 (seeds 1-3), minimize expands 19-35% fewer
+nodes than with a late gate of four and takes less process CPU on all
+seven.
 """
 
 from __future__ import annotations
@@ -105,10 +111,12 @@ def _double_cover_matching(
     whether the maximum reaches target.
 
     Returns (matching size, right copy -> left partner); both sides are keyed
-    by original vertex ids. A greedy matching comes first, then phases of
-    depth-first augmenting searches, on an explicit stack, from the free left
-    copies; a phase enters each right copy at most once, and each left copy
-    it reaches looks for a free partner first. The first phase searches
+    by original vertex ids. A greedy matching comes first, in which a left
+    copy without a free partner takes a matched one whose left copy can move
+    to a free partner; then phases of depth-first augmenting searches, on an
+    explicit stack, from the free left copies; a phase enters each right
+    copy at most once, and each left copy it reaches looks for a free
+    partner first. The first phase searches
     freely (Kuhn) and puts off any search that enters more than
     FREE_SEARCH_RIGHTS right copies; later phases follow BFS layers from the
     free left copies (Hopcroft-Karp), which bounds their number by
@@ -125,7 +133,18 @@ def _double_cover_matching(
                 mate[w] = u
                 break
         else:
-            free.append(u)
+            for w in nbrs:  # an augmenting path of length three
+                m = mate[w]
+                for x in adj[m]:
+                    if x not in mate:
+                        mate[x] = m
+                        mate[w] = u
+                        break
+                else:
+                    continue
+                break
+            else:
+                free.append(u)
     unmatched = len(free)
     dead = 0  # free left copies no augmenting path starts from
     dist: dict[int, int] | None = None  # BFS layers of the left copies

@@ -75,8 +75,9 @@ EARLY_PACKING_MOST = 2
 # 4, on the benchmark's seed-1 corpora, 6 adds checks at need 5 and 6 that
 # prune 12% and 7% of the time on ``cubic`` and 29% and 19% on ``maxdeg5``;
 # nodes fall 4% and 8% there, and 15% on the 12 cubic graphs
-# tests/test_search.py pins. Process CPU rose about 5% on ``cubic`` and
-# stayed flat on ``maxdeg5``; on cubic graphs with n = 280-320 it fell.
+# tests/test_search.py pins. On ``cubic`` those checks cost about 5% of
+# process CPU, which a faster greedy matching (kernel) wins back; on cubic
+# graphs with n = 280-320, where they prune far more often, CPU fell.
 LATE_PACKING_MOST = 6
 ENVELOPE_BASE_PLAIN = 1.15855
 ENVELOPE_BASE_INTERLEAVED = 1.1504
