@@ -302,7 +302,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
     and as the LP bound of g wherever need <= 0. Where a vertex next to
     the cycles rules out a perfect double cover of g - C, the check gives
     up before the matching; the matching must agree."""
-    compared = deep = cycles = given_up = 0
+    compared = deep = late = cycles = given_up = 0
     for seed in range(200):
         rng = random.Random(seed)
         n = rng.randrange(6, 41)
@@ -324,7 +324,8 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
                 if len(packed) == need:
                     want = sum((len(c) + 1) // 2 for c in packed) + lp_lower_bound(rest) > cap
                     compared += need <= 2
-                    deep += need > 2
+                    deep += 2 < need <= 4
+                    late += need > 4
                     if _rest(g.adjacency(), packed) is None:
                         assert _double_cover_matching(rest.adjacency())[0] < rest.num_vertices(), seed
                         given_up += 1
@@ -332,7 +333,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
                     assert is_bipartite(rest), seed
             for most in (2, 4, 6):
                 assert bound_exceeds(g, cap, most) == (want and need <= most), (seed, cap, most)
-    assert compared >= 100 and deep >= 70 and cycles >= 30  # 177, 118 and 298 seen
+    assert compared >= 100 and deep >= 70 and late >= 20 and cycles >= 30  # 177, 93, 25 and 298 seen
     assert given_up >= 100  # 114 seen
 
 
