@@ -19,19 +19,21 @@ class Graph:
     and a caller that wants the record, as the search does for
     ``reduce_fixpoint``, collects it.
 
-    ``triangles`` is None, or a superset of the live vertices that lie on a
-    triangle. Deletions may leave members that no longer do, or are no
-    longer live; ``add_edge`` and ``fold`` add the vertices of every
-    triangle they close. ``reduce_fixpoint`` builds it where it is None
-    (``index_triangles``), and copies and induced subgraphs carry it.
+    ``triangles`` is the triangle index: a superset of the live vertices
+    that lie on a triangle. The first read builds it exactly, and later
+    reads return that set. Deletions may leave members that no longer lie
+    on a triangle, or are no longer live; ``fold`` adds the vertices of
+    every triangle it closes, and ``add_edge`` drops a built index, so the
+    next read builds it again. Copies and induced subgraphs carry a built
+    index and leave an unbuilt one unbuilt.
     """
 
-    __slots__ = ("_adj", "_m", "triangles")
+    __slots__ = ("_adj", "_m", "_triangles")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
-        self.triangles: set[int] | None = None
+        self._triangles: set[int] | None = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> "Graph":
@@ -86,11 +88,7 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
-            if self.triangles is not None:
-                closed = self._adj[u] & self._adj[v]
-                if closed:
-                    self.triangles |= closed
-                    self.triangles.update((u, v))
+            self._triangles = None
 
     def remove_vertex(self, v: int) -> set[int]:
         """Delete v with its edges; returns its former neighbor set, which
@@ -110,7 +108,7 @@ class Graph:
 
         Parallel edges collapse. Returns the common neighbors of s and r, the
         vertices whose degree fell. Every triangle the fold closes holds r and
-        one of s's neighbors w, and ``triangles`` gains its vertices.
+        one of s's neighbors w, and a built triangle index gains its vertices.
         """
         adj = self._adj
         nu = adj.get(u)
@@ -128,18 +126,29 @@ class Graph:
             moved.add(r)
         kept |= absorbed
         self._m -= 2 + len(common)
-        if self.triangles is not None:
+        tri = self._triangles
+        if tri is not None:
             for w in absorbed:
                 if not kept.isdisjoint(adj[w]):
-                    self.triangles |= adj[w] & kept
-                    self.triangles.update((w, r))
+                    tri |= adj[w] & kept
+                    tri.update((w, r))
         return common
 
-    def index_triangles(self) -> None:
-        """Set ``triangles`` to exactly the vertices on a triangle."""
-        self.triangles = {v for v in self._adj if self.on_triangle(v)}
-
     # queries
+
+    @property
+    def triangles(self) -> set[int]:
+        """The triangle index, built on first read.
+
+        The build calls ``on_triangle`` for every live vertex, so it is put
+        off until a reader needs it. In a search that is after the root's
+        first degree peel, which on a large sparse input deletes most of the
+        vertices the build would scan: on one seed-1 ``sparse-blocks`` graph
+        of the benchmark it takes 21,240 vertices to about 1,000.
+        """
+        if self._triangles is None:
+            self._triangles = {v for v in self._adj if self.on_triangle(v)}
+        return self._triangles
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -222,8 +231,8 @@ class Graph:
         sub = Graph()
         sub._adj = {v: self._require(v) & keep_set for v in keep_set}
         sub._m = sum(map(len, sub._adj.values())) // 2
-        if self.triangles is not None:
-            sub.triangles = self.triangles & keep_set
+        if self._triangles is not None:
+            sub._triangles = self._triangles & keep_set
         return sub
 
     def clone(self) -> "Graph":
@@ -239,7 +248,7 @@ class Graph:
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._m = self._m
-        g.triangles = None if self.triangles is None else set(self.triangles)
+        g._triangles = None if self._triangles is None else set(self._triangles)
         return g
 
     def _require(self, v: int) -> set[int]:

@@ -17,20 +17,11 @@ searches (Kuhn) and then Hopcroft-Karp's BFS-layered phases. Most of the
 search's checks end in the free phase, without a BFS, and the layered phases
 keep Hopcroft-Karp's O(m sqrt n) bound on large inputs, where repeated free
 searches alone grow quadratic.
-Per call, against plain Hopcroft-Karp, on one 2-vCPU host (the first two
-on the benchmark's seed-1 corpora):
-- the search's checks on ``cubic``: 20 us, against 76 us for Hopcroft-Karp
-  with the same early exit and 21 us for greedy plus Kuhn searches;
-- ``_solve_components``' subgraphs on ``sparse-blocks``: 13 us against 65 us;
-- a random graph with n = 40,000 and m = 60,000: 0.93 s against 1.09 s, where
-  greedy plus Kuhn searches take 11.7 s.
-It loses where Hopcroft-Karp's first greedy pass, in sorted order, happens
-to be perfect: on a 100 x 100 grid numbered row by row, 162 ms against 21 ms.
 The greedy pass takes an augmenting path of length three wherever a left
 copy finds no free partner, which a search would otherwise find at more
-cost: on the same host that took 8% (``cubic``) and 6% (``maxdeg5``) off
-the search's checks at need 1-6 on the seed-1 corpora, and the random
-graph above took 0.61-0.85 s against 1.06-1.19 s; grids stayed level.
+cost. It is slower than plain Hopcroft-Karp where that algorithm's first
+greedy pass, in sorted order, happens to be perfect, as on a grid numbered
+row by row.
 
 ``bound_exceeds`` is the search's one lower-bound check. Where the LP bound
 can at most tie the budget it lifts it: a cover holds (|C| + 1) / 2 vertices
@@ -39,37 +30,19 @@ of each of t disjoint odd cycles C and covers the rest R, so VC(G) >= sum
 bounds of Akiba & Iwata (TCS 2016). It packs triangles greedily and, where
 they run out, the odd cycles a BFS over the free vertices closes, and it
 matches the double cover of R read off an adjacency mapping, without
-building a ``Graph``. On the benchmark's seed-1 ``cubic`` corpus, decide at
-opt - 1 on one 2-vCPU host, a check that packs takes 73-86 us, against
-30-47 us with triangles alone, which gave up without a matching on 512 of
-their 768 checks; the packing itself is about 28 us. The stronger bound
-leaves 507 checks, and the decides run about 11% faster. The triangle
-pass walks only the members of ``Graph.triangles``: on the same corpus,
-minimize and both decides, a packing took 33 us against 54 us when it
-walked every vertex (1,461 calls). The caller gates the need, the number
-of cycles a prune takes: the search packs up to two before a node's
-reductions and up to six after them (``search.EARLY_PACKING_MOST``,
-``LATE_PACKING_MOST``). Against need <= 2 at both, a late gate of four cut
-the benchmark's ``cubic`` nodes by 15% at flat times; need <= 4 at both
-cost 4-6% more time. With no gate the decides took 30-45% longer.
-A prune needs the rest's double cover to match perfectly, and a vertex
-next to the packed cycles that is left with no neighbour, or with the same
-one neighbour as another, rules that out; ``_rest`` looks for one before
-the matching runs. Over the search's checks on the benchmark's seed-1
-``cubic`` corpus, on the same host, 56-70% of the failed checks at need
-4-6 end there, and a check at need 4, 5 and 6 takes 58, 65 and 72 us,
-against 65, 72 and 82 us without the look on the same inputs. On that
-corpus the checks at need 5 and 6 prune 10% of the time and cost about 5%
-of process CPU, more than the 3-4% of nodes they save; the matching's
-length-three step above wins that back. On random cubic graphs with
-n = 280 (seeds 1-4) and n = 320 (seeds 1-3), minimize expands 19-35% fewer
-nodes than with a late gate of four and takes less process CPU on all
-seven.
+building a ``Graph``. The triangle pass walks only the members of
+``Graph.triangles``. The caller gates the need, the number of cycles a
+prune takes, since a check that packs costs about what a search node does:
+the search packs up to two before a node's reductions and up to six after
+them (``search.EARLY_PACKING_MOST``, ``LATE_PACKING_MOST``). A prune needs
+the rest's double cover to match perfectly, and a vertex next to the packed
+cycles that is left with no neighbour, or with the same one neighbour as
+another, rules that out; ``_rest`` looks for one before the matching runs,
+and most failed checks at need 4-6 end there.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -220,29 +193,28 @@ def _double_cover_matching(
 
 
 def _half_integral_partition(g: Graph) -> tuple[NTPartition, int]:
-    matching, pair_r = _double_cover_matching(g.adjacency())
+    adj = g.adjacency()
+    matching, pair_r = _double_cover_matching(adj)
     pair_l = {u: w for w, u in pair_r.items()}
     # Koenig: from the free left vertices, alternate non-matching then
-    # matching edges; the bipartite cover is (L minus reached) + reached rights.
-    z_left: set[int] = {u for u in g.vertices() if u not in pair_l}
+    # matching edges; the bipartite cover is (L minus reached) + reached
+    # rights. The reached sets do not depend on the walk's order.
+    z_left: set[int] = {u for u in adj if u not in pair_l}
     z_right: set[int] = set()
-    queue = deque(sorted(z_left))
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
+    queue = list(z_left)
+    for u in queue:
+        for w in adj[u]:
             if w not in z_right and pair_l.get(u) != w:
                 z_right.add(w)
                 mate = pair_r.get(w)
                 if mate is not None and mate not in z_left:
                     z_left.add(mate)
                     queue.append(mate)
-    cover_left = {v for v in g.vertices() if v not in z_left}
-    cover_right = z_right
-    ones = frozenset(cover_left & cover_right)
-    zeros = frozenset(v for v in g.vertices() if v not in cover_left and v not in cover_right)
-    halves = frozenset(v for v in g.vertices() if v not in ones and v not in zeros)
-    if len(cover_left) + len(cover_right) != matching:
+    if len(adj) - len(z_left) + len(z_right) != matching:
         raise AssertionError("bipartite cover size disagrees with the matching")
+    ones = frozenset(z_right - z_left)  # both copies covered
+    zeros = frozenset(z_left - z_right)  # neither copy covered
+    halves = frozenset(adj.keys() - ones - zeros)
     return NTPartition(ones=ones, zeros=zeros, halves=halves), matching
 
 
@@ -252,29 +224,28 @@ def lp_lower_bound(g: Graph) -> int:
 
 
 def _odd_cycle_packing(
-    adj: Mapping[int, set[int]], need: int, triangles: set[int] | None = None
+    adj: Mapping[int, set[int]], need: int, triangles: set[int]
 ) -> list[tuple[int, ...]]:
     """Up to need >= 1 vertex-disjoint odd cycles of the graph with adjacency
-    adj.
+    adj, given a superset ``triangles`` of its vertices on a triangle, such
+    as the graph's triangle index (see ``Graph``).
 
     Triangles come first, packed greedily in adj's order: a vertex v not yet
     packed takes the first free neighbour u of higher id that closes a
     triangle with it, and the lowest-id free vertex that closes it. A
     triangle whose vertices all stay free would have been taken at its
-    lowest vertex. Given ``Graph.triangles``, a superset of the vertices on
-    a triangle, the pass skips the vertices outside it, which take none, so
-    it packs the same triangles in the same order. Where triangles run out,
-    a BFS over the free vertices runs from each free vertex in turn, in
-    adj's order, and packs the odd cycle that the first edge inside one of
-    its layers closes (``_odd_cycle``); a BFS that finds none has walked a
-    bipartite component of the free vertices, which it sets aside. So unless
-    the packing stops at need, the vertices it leaves induce a bipartite
-    graph."""
+    lowest vertex. The pass skips the vertices outside ``triangles``, which
+    take none, so any superset packs the same triangles in the same order.
+    Where triangles run out, a BFS over the free vertices runs from each
+    free vertex in turn, in adj's order, and packs the odd cycle that the
+    first edge inside one of its layers closes (``_odd_cycle``); a BFS that
+    finds none has walked a bipartite component of the free vertices, which
+    it sets aside. So unless the packing stops at need, the vertices it
+    leaves induce a bipartite graph."""
     used: set[int] = set()
     packed: list[tuple[int, ...]] = []
-    on_triangles = adj.keys() if triangles is None else triangles
     for v, nv in adj.items():
-        if v in used or v not in on_triangles:
+        if v in used or v not in triangles:
             continue
         free = nv - used if used else nv
         for u in free:

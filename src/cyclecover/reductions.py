@@ -161,20 +161,17 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, changed: set[int] | None = 
     correctness. The set also gains every live vertex whose neighborhood
     the rules change.
 
-    Of those, the unconfined rule examines only the members of
-    ``g.triangles``, which gives the same answers: at minimum degree 3 each
-    neighbor of a vertex v on no triangle has two or more neighbors outside
-    N[v], so v is confined. Where g has no index, it is built after the
-    first degree-rule pass, which on a large sparse input deletes most of
-    the vertices the build would scan.
+    Of those, the unconfined rule examines only the members of the triangle
+    index ``g.triangles`` (see ``Graph`` for when it is built), which gives
+    the same answers: at minimum degree 3 each neighbor of a vertex v on no
+    triangle has two or more neighbors outside N[v], so v is confined. The
+    first read comes after the first degree-rule pass.
     """
     adj = g.adjacency()
     fresh = changed  # the changes no scan has looked at yet
     unchecked: set[int] = set()  # unconfined-rule candidates not yet examined
     while True:
         reduce_low_degree(g, trace, fresh)
-        if g.triangles is None:
-            g.index_triangles()
         if fresh is None:
             unchecked = g.triangles & adj.keys()
         else:

@@ -44,15 +44,16 @@ def mirrors(g: Graph, v: int) -> frozenset[int]:
     same size that holds all of N(v). Hence some minimum cover holds either
     N(v) or v with all its mirrors.
 
-    A v outside ``g.triangles`` has an independent neighborhood, whose
-    cliques have one vertex at most: a mirror misses at most one neighbor of
-    v, so it is adjacent to two of any three of them (one of any two), and
-    counting the neighbors it shares with v decides it.
+    A v outside the triangle index ``g.triangles`` (see ``Graph``) has an
+    independent neighborhood, whose cliques have one vertex at most: a
+    mirror misses at most one neighbor of v, so it is adjacent to two of any
+    three of them (one of any two), and counting the neighbors it shares
+    with v decides it.
     """
     adj = g.adjacency()
     nv = adj[v]
     d = len(nv)
-    if g.triangles is not None and v not in g.triangles:
+    if v not in g.triangles:
         if d < 3:
             cands = set().union(*(adj[w] for w in nv))
         else:
@@ -84,19 +85,17 @@ def mirrors(g: Graph, v: int) -> frozenset[int]:
     return frozenset(found)
 
 
-def shortest_cycle_through(g: Graph, v: int, stop: int | None = None) -> int:
-    """Length of the shortest cycle containing v; n + 1 when v lies on none.
+def shortest_cycle_through(g: Graph, v: int, stop: int) -> int:
+    """min(length, stop), where length is that of the shortest cycle
+    containing v, and n + 1 when v lies on none.
 
     One BFS from v labels every vertex with the neighbor of v it hangs from.
     An edge between differently labelled x and y closes a cycle through v of
     length d(x) + d(y) + 1, and the shortest such cycle has one. Every cycle
     still unseen when the BFS starts on depth d is at least 2d + 1 long, so
-    with stop the BFS ends once none can be shorter than stop, and the result
-    is min(length, stop).
+    the BFS ends once none can be shorter than stop.
     """
-    best = g.num_vertices() + 1
-    if stop is not None and stop < best:
-        best = stop
+    best = min(g.num_vertices() + 1, stop)
     seen = {w: (1, w) for w in g.neighbors(v)}  # vertex -> (depth, label)
     frontier = list(seen)
     depth = 1
@@ -151,10 +150,9 @@ def select(g: Graph) -> BranchPlan:
     # 3-regular: the exclude estimate ties, so bias toward short cycles; the
     # lowest id wins ties, so a later vertex must lie on a strictly shorter one,
     # and the lowest vertex on a triangle, where there is one, wins outright
-    if g.triangles is not None:
-        for u in sorted(g.triangles):
-            if u in adj and g.on_triangle(u):
-                return BranchPlan(vertex=u, mirrors=mirrors(g, u), rule_tag=RuleTag.DEGREE3_REGULAR)
+    for u in sorted(g.triangles):
+        if u in adj and g.on_triangle(u):
+            return BranchPlan(vertex=u, mirrors=mirrors(g, u), rule_tag=RuleTag.DEGREE3_REGULAR)
     v, shortest = -1, len(adj) + 2
     for u in sorted(top):
         length = shortest_cycle_through(g, u, stop=shortest)

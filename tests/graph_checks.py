@@ -32,13 +32,15 @@ def check_invariants(g: Graph) -> None:
 
 
 def check_triangle_index(g: Graph) -> None:
-    """Every live vertex on a triangle is in ``g.triangles`` whenever g
-    carries the index; raises AssertionError."""
-    if g.triangles is None:
+    """Every live vertex on a triangle is in the triangle index whenever g
+    has built it; raises AssertionError. Reads the private slot, so that
+    the check never builds the index itself."""
+    index = g._triangles
+    if index is None:
         return
     for v in g.vertices():
         nbrs = g.neighbors(v)
-        if any(g.neighbors(w) & nbrs for w in nbrs) and v not in g.triangles:
+        if any(g.neighbors(w) & nbrs for w in nbrs) and v not in index:
             raise AssertionError(f"vertex {v} lies on a triangle but is not indexed")
 
 

@@ -53,12 +53,13 @@ def test_from_edges_matches_add_edge():
 
 
 def snapshot(g: Graph):
-    """Everything a mutation may change, in iteration order."""
+    """Everything a mutation may change, in iteration order; reads the
+    triangle index without building it."""
     adj = g.adjacency()
     return (
         [(v, list(nbrs)) for v, nbrs in adj.items()],
         g.num_edges(),
-        None if g.triangles is None else set(g.triangles),
+        None if g._triangles is None else set(g._triangles),
     )
 
 
@@ -99,7 +100,7 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
 def test_failed_fold_and_removal_change_nothing():
     # 0 and 5 have degree 2; 0's neighbors 1 and 2 are not adjacent, 5's are
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 3), (5, 4)])
-    g.index_triangles()
+    assert g.triangles == {1, 3, 4, 5}  # built here, so the snapshot holds it
     before = snapshot(g)
     bad = {
         "u not live": (7, 1, 2),
@@ -185,13 +186,16 @@ def test_clone_is_independent():
 
 
 def test_invariants_hold_under_random_mutation():
-    """Also on the triangle index, which the graph carries from the start, and
-    on copies and induced subgraphs of it."""
+    """Also on the triangle index, which is read at every step, so that it is
+    rebuilt after every added edge, and on copies and induced subgraphs of
+    it."""
     rng, pick = random.Random(42), random.Random(43)
     g = gnp(12, 0.3, rng)
-    g.index_triangles()
-    closing_folds = 0
+    closing_folds = rebuilds = 0
     for step in range(300):
+        if g._triangles is None:
+            assert g.triangles == on_triangles(g)
+            rebuilds += 1
         op = rng.randrange(4)
         verts = sorted(g.vertices())
         if op == 0 or not verts:
@@ -200,6 +204,7 @@ def test_invariants_hold_under_random_mutation():
             u, v = rng.sample(verts, 2)
             if not g.has_edge(u, v):
                 g.add_edge(u, v)
+                assert g._triangles is None
         elif op == 2:
             g.remove_vertex(rng.choice(verts))
         else:
@@ -215,7 +220,7 @@ def test_invariants_hold_under_random_mutation():
         live = sorted(g.vertices())
         check_triangle_index(g.induced_subgraph(pick.sample(live, len(live) // 2)))
         assert g.num_components() == len(g.connected_components())
-    assert closing_folds >= 2
+    assert closing_folds >= 2 and rebuilds >= 50  # 58 seen
 
 
 def on_triangles(g):
@@ -225,28 +230,61 @@ def on_triangles(g):
 def test_triangle_index_gains_what_a_mutation_closes():
     """Folding 0 merges 1 into 2 on the 5-cycle 0-1-3-4-2: the new edge 2-3
     closes the triangle 2-3-4, whose third vertex 4 was 2's neighbor all
-    along. Adding an edge closes a triangle too."""
+    along. Adding an edge closes a triangle too; it drops the index, and
+    the next read finds the triangle."""
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)])
-    g.index_triangles()
     assert g.triangles == set()
     g.fold(0, 1, 2)
     check_triangle_index(g)
-    assert on_triangles(g) == {2, 3, 4}
+    assert on_triangles(g) == {2, 3, 4} <= g.triangles
 
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    g.index_triangles()
+    assert g.triangles == set()
     g.add_edge(0, 2)
-    check_triangle_index(g)
-    assert on_triangles(g) == {0, 1, 2}
+    assert g._triangles is None
+    assert on_triangles(g) == {0, 1, 2} == g.triangles
 
 
 def test_triangle_index_is_carried_by_copies():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-    assert g.clone().triangles is None and g.induced_subgraph([0, 1]).triangles is None
-    g.index_triangles()
+    assert g.clone()._triangles is None and g.induced_subgraph([0, 1])._triangles is None
+    assert g._triangles is None  # the copies did not build it either
     assert g.triangles == {0, 1, 2}
     twin = g.clone()
     assert twin.triangles == g.triangles and twin.triangles is not g.triangles
     assert g.induced_subgraph([1, 2, 3]).triangles == {1, 2}
     g.remove_vertex(0)  # 1 and 2 stay as stale members, allowed by the contract
     check_triangle_index(g)
+
+
+def test_triangle_index_is_built_on_first_read():
+    """The first read is exact, and later reads return the same set. An
+    added edge drops a built index, and the next read is exact again. A
+    fold keeps a superset. Copies carry a built index and leave an unbuilt
+    one unbuilt."""
+    rng = random.Random(9)
+    folds = added = 0
+    for _ in range(200):
+        n = rng.randrange(3, 16)
+        g = gnp(n, rng.uniform(0.1, 0.5), rng)
+        keep = rng.sample(range(n), n // 2)
+        assert g.clone()._triangles is None and g.induced_subgraph(keep)._triangles is None
+        assert g._triangles is None
+        index = g.triangles
+        assert index == on_triangles(g) and g.triangles is index
+        twin = g.clone()
+        assert twin._triangles == index and twin._triangles is not index
+        assert g.induced_subgraph(keep)._triangles == index & set(keep)
+
+        foldable = [u for u in sorted(g.vertices()) if g.degree(u) == 2 and not g.has_edge(*g.neighbors(u))]
+        if foldable:
+            g.fold(foldable[0], *sorted(g.neighbors(foldable[0])))
+            assert g.triangles is index and on_triangles(g) <= index
+            folds += 1
+        missing = [(u, v) for u in g.vertices() for v in g.vertices() if u < v and not g.has_edge(u, v)]
+        if missing:
+            g.add_edge(*rng.choice(missing))
+            assert g._triangles is None
+            assert g.triangles == on_triangles(g)
+            added += 1
+    assert folds >= 50 and added >= 150

@@ -314,7 +314,7 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
             need = 2 * cap - n + 1
             want = need <= 0 and lp_lower_bound(g) > cap
             if 1 <= need <= 6:
-                packed = _odd_cycle_packing(g.adjacency(), need)
+                packed = _odd_cycle_packing(g.adjacency(), need, g.triangles)
                 assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
                 for c in packed:
                     assert len(c) >= 3 and len(c) % 2 == 1, seed
@@ -345,7 +345,7 @@ def test_rest_gives_up_where_a_packed_triangle_strands_a_vertex():
     g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (2, 5), (4, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
     adj = g.adjacency()
-    assert _odd_cycle_packing(adj, 1) == [(0, 1, 2)] and _rest(adj, [(0, 1, 2)]) is None
+    assert _odd_cycle_packing(adj, 1, g.triangles) == [(0, 1, 2)] and _rest(adj, [(0, 1, 2)]) is None
     assert lp_lower_bound(g.induced_subgraph({3, 4, 5})) == 1
     assert not bound_exceeds(g, 3, 1)
     assert _rest(adj, [(0, 1, 3)]) == {2: {4, 5}, 4: {2, 5}, 5: {2, 4}}
@@ -357,7 +357,7 @@ def test_rest_gives_up_where_a_packed_triangle_leaves_two_pendants_on_one_vertex
     g = Graph.from_edges([(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
     adj = g.adjacency()
-    assert _odd_cycle_packing(adj, 1) == [(0, 2, 5)] and _rest(adj, [(0, 2, 5)]) is None
+    assert _odd_cycle_packing(adj, 1, g.triangles) == [(0, 2, 5)] and _rest(adj, [(0, 2, 5)]) is None
     assert lp_lower_bound(g.induced_subgraph({1, 3, 4})) == 1
     assert not bound_exceeds(g, 3, 1)
     assert _rest(adj, [(0, 4, 5)]) == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
@@ -366,7 +366,7 @@ def test_rest_gives_up_where_a_packed_triangle_leaves_two_pendants_on_one_vertex
 def test_packings_are_disjoint_odd_cycles():
     """Up to need 8, on degree-capped and cubic graphs with vertices
     deleted: every packing is vertex-disjoint odd closed cycles, and the
-    triangle index changes none of them."""
+    exact triangle index packs the same as one that holds every vertex."""
     packings = longer = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -377,11 +377,10 @@ def test_packings_are_disjoint_odd_cycles():
             g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((3, 6)) * n)
         for v in rng.sample(sorted(g.vertices()), rng.randrange(n // 4 + 1)):
             g.remove_vertex(v)
-        g.index_triangles()
         adj = g.adjacency()
         for need in range(1, 9):
-            packed = _odd_cycle_packing(adj, need)
-            assert packed == _odd_cycle_packing(adj, need, g.triangles), (seed, need)
+            packed = _odd_cycle_packing(adj, need, g.triangles)
+            assert packed == _odd_cycle_packing(adj, need, set(adj)), (seed, need)
             out = [v for c in packed for v in c]
             assert len(packed) <= need and len(set(out)) == len(out), (seed, need)
             for c in packed:
@@ -457,7 +456,7 @@ def test_packing_bound_never_exceeds_the_optimum_on_sparse_triangles():
             deep += wide and not narrow
             if narrow:
                 pruned += 1
-                by_cycles += any(len(c) > 3 for c in _odd_cycle_packing(g.adjacency(), 2 * cap - n + 1))
+                by_cycles += any(len(c) > 3 for c in _odd_cycle_packing(g.adjacency(), 2 * cap - n + 1, g.triangles))
     assert pruned >= 700 and by_cycles >= 150 and deep >= 40  # 55 seen at need 3-4
 
 
@@ -488,7 +487,7 @@ def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():
         g = Graph.from_edges(outer + [(5 + i, 5 + (i + step) % 5) for i in range(5)])
         assert lp_lower_bound(g) == 5 and min_vc_bruteforce(g)[0] == 6, step
         assert not bound_exceeds(g, 5, 0) and not triangle_only_exceeds(g, 5, 2), step
-        assert [len(c) for c in _odd_cycle_packing(g.adjacency(), 1)] == [5], step
+        assert [len(c) for c in _odd_cycle_packing(g.adjacency(), 1, g.triangles)] == [5], step
         assert bound_exceeds(g, 5, 2), step
 
 

@@ -388,6 +388,28 @@ def test_unconfined_scan_runs_at_minimum_degree_three_and_fires_on_triangles(mon
     assert calls > 3000 and fired > 1000
 
 
+def test_triangle_index_is_built_after_the_roots_first_peel(monkeypatch):
+    """A cubic block of 20 vertices hangs off a path of 20,000. The degree
+    rules peel the path away before anything reads the triangle index, so
+    the build, one ``on_triangle`` call per live vertex, scans the block
+    alone; a build before the peel would scan the path too."""
+    calls = 0
+    real = Graph.on_triangle
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return real(self, v)
+
+    monkeypatch.setattr(Graph, "on_triangle", counting)
+    block, path = 20, 20_000
+    edges = [(block + i, block + i + 1) for i in range(path - 1)]
+    edges += [*generate("cubic", block, 1).edges(), (0, block + path // 2)]
+    size, cover, _ = vc_minimum(Graph.from_edges(edges))
+    assert size == len(cover) == block // 2 + path // 2 + 1
+    assert 0 < calls <= 3 * block
+
+
 def test_tau_invariants_hold_at_every_branching(checked_branchings):
     for g in same_tree_corpus():
         size = vc_minimum(g)[0]

@@ -89,8 +89,9 @@ def mirrors_by_definition(g, v):
 
 
 def test_mirrors_match_definition():
-    """On the graphs as built, and on indexed copies, where a vertex on no
-    triangle takes the common-neighbor count."""
+    """With the exact triangle index, where a vertex on no triangle takes
+    the common-neighbor count, and on copies with every vertex indexed,
+    where none does."""
     rng = random.Random(11)
     with_mirrors = counted = counted_with_mirrors = 0
     for seed in range(200):
@@ -99,14 +100,14 @@ def test_mirrors_match_definition():
         else:
             n = rng.randrange(4, 30)
             g = random_max_degree(n, rng, max_deg=rng.choice((3, 4, 5, 6)), proposals=4 * n)
-        indexed = g.clone()
-        indexed.index_triangles()
+        plain = g.clone()
+        plain.triangles.update(plain.vertices())
         for v in sorted(g.vertices()):
             want = mirrors_by_definition(g, v)
             assert mirrors(g, v) == want, (seed, v)
-            assert mirrors(indexed, v) == want, (seed, v)
+            assert mirrors(plain, v) == want, (seed, v)
             with_mirrors += bool(want)
-            if v not in indexed.triangles:
+            if v not in g.triangles:
                 counted += 1
                 counted_with_mirrors += bool(want)
     assert with_mirrors > 200
@@ -114,11 +115,12 @@ def test_mirrors_match_definition():
 
 
 def test_shortest_cycle_lengths():
-    assert shortest_cycle_through(prism(), 0) == 3
+    assert shortest_cycle_through(prism(), 0, 7) == 3
     for v in range(10):
-        assert shortest_cycle_through(petersen_graph(), v) == 5
+        assert shortest_cycle_through(petersen_graph(), v, 11) == 5
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert shortest_cycle_through(g, 1) == 3
+    assert shortest_cycle_through(g, 1, 6) == 3
+    assert shortest_cycle_through(Graph.from_edges([(0, 1), (1, 2)]), 1, 4) == 4
 
 
 def test_cubic_rule_picks_smallest_girth_vertex():
@@ -173,7 +175,7 @@ def test_shortest_cycle_matches_per_edge_bfs():
         ][seed % 3]
         for v in sorted(g.vertices()):
             want = cycle_through_per_edge(g, v)
-            assert shortest_cycle_through(g, v) == want, (seed, v)
+            assert shortest_cycle_through(g, v, g.num_vertices() + 1) == want, (seed, v)
             for stop in range(1, want + 3):
                 # a stop never hides a cycle shorter than itself
                 assert shortest_cycle_through(g, v, stop) == min(want, stop), (seed, v, stop)
@@ -182,16 +184,14 @@ def test_shortest_cycle_matches_per_edge_bfs():
 
 
 def test_cubic_rule_matches_reference_choice():
-    """Also where g carries a triangle index, exact or with members on no
+    """With the exact triangle index, and with one that has members on no
     triangle, as deletions leave them."""
     on_triangles = 0
     for seed in range(40):
         g = generate("cubic", 8 + 2 * (seed % 20), seed)
         want = min(sorted(g.vertices()), key=lambda u: (cycle_through_per_edge(g, u), u))
         assert select(g).vertex == want, seed
-        g.index_triangles()
-        assert select(g).vertex == want, seed
         on_triangles += bool(g.triangles)
-        g.triangles |= set(g.vertices())
+        g.triangles.update(g.vertices())
         assert select(g).vertex == want, seed
     assert on_triangles >= 10
