@@ -38,12 +38,15 @@ them (``search.EARLY_PACKING_MOST``, ``LATE_PACKING_MOST``). A prune needs
 the rest's double cover to match perfectly, and a vertex next to the packed
 cycles that is left with no neighbour, or with the same one neighbour as
 another, rules that out; ``_rest`` looks for one before the matching runs,
-and most failed checks at need 4-6 end there.
+and most failed checks at need 4-6 end there. Such a check packs once more,
+walking the vertices in reverse order, and tries that packing's rest the
+same way: other cycles strand other vertices, and any disjoint odd cycles
+give a sound bound, so the second packing only adds prunes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -224,29 +227,36 @@ def lp_lower_bound(g: Graph) -> int:
 
 
 def _odd_cycle_packing(
-    adj: Mapping[int, set[int]], need: int, triangles: set[int]
+    adj: Mapping[int, set[int]],
+    need: int,
+    triangles: set[int],
+    order: Callable[[Mapping[int, set[int]]], Iterator[int]] = iter,
 ) -> list[tuple[int, ...]]:
     """Up to need >= 1 vertex-disjoint odd cycles of the graph with adjacency
     adj, given a superset ``triangles`` of its vertices on a triangle, such
-    as the graph's triangle index (see ``Graph``).
+    as the graph's triangle index (see ``Graph``). Both passes walk the
+    vertices in the order ``order(adj)`` yields them: adj's own by default,
+    and ``reversed`` for the check's second packing, which copies nothing.
 
-    Triangles come first, packed greedily in adj's order: a vertex v not yet
-    packed takes the first free neighbour u of higher id that closes a
-    triangle with it, and the lowest-id free vertex that closes it. A
-    triangle whose vertices all stay free would have been taken at its
-    lowest vertex. The pass skips the vertices outside ``triangles``, which
-    take none, so any superset packs the same triangles in the same order.
+    Triangles come first, packed greedily: a vertex v not yet packed takes
+    the first free neighbour u of higher id that closes a triangle with it,
+    and the lowest-id free vertex that closes it. No triangle whose
+    vertices all stay free is left, since its lowest vertex would have
+    taken one; in ascending id order every triangle is taken at its lowest
+    vertex. The pass skips the vertices outside ``triangles``, which take
+    none, so any superset packs the same triangles in the same order.
     Where triangles run out, a BFS over the free vertices runs from each
-    free vertex in turn, in adj's order, and packs the odd cycle that the
-    first edge inside one of its layers closes (``_odd_cycle``); a BFS that
-    finds none has walked a bipartite component of the free vertices, which
-    it sets aside. So unless the packing stops at need, the vertices it
-    leaves induce a bipartite graph."""
+    free vertex in turn and packs the odd cycle that the first edge inside
+    one of its layers closes (``_odd_cycle``); a BFS that finds none has
+    walked a bipartite component of the free vertices, which it sets aside.
+    So unless the packing stops at need, the vertices it leaves induce a
+    bipartite graph."""
     used: set[int] = set()
     packed: list[tuple[int, ...]] = []
-    for v, nv in adj.items():
+    for v in order(adj):
         if v in used or v not in triangles:
             continue
+        nv = adj[v]
         free = nv - used if used else nv
         for u in free:
             if u > v and not free.isdisjoint(adj[u]):
@@ -255,7 +265,7 @@ def _odd_cycle_packing(
                     return packed
                 used.update(packed[-1])
                 break
-    for root in adj:
+    for root in order(adj):
         if root in used:
             continue
         cycle = _odd_cycle(adj, root, used)
@@ -327,8 +337,10 @@ def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
     largest need the caller will pay a packing for, the answer is False.
     The matching stops once it knows the answer; after a packing its target
     is the rest's vertex count, so it gives up at the first left copy it
-    proves unmatchable, and the check gives up before it where ``_rest``
-    finds such a copy next to the cycles.
+    proves unmatchable. Where ``_rest`` finds such a copy next to the
+    cycles before the matching, the check packs need cycles once more,
+    walking the vertices in reverse order, and answers on that packing's
+    rest; it gives up where that rest fails the look too.
     """
     adj = g.adjacency()
     need = 2 * cap - len(adj) + 1
@@ -336,9 +348,14 @@ def bound_exceeds(g: Graph, cap: int, most: int) -> bool:
         return False
     if need >= 1:
         packed = _odd_cycle_packing(adj, need, g.triangles)
-        rest = _rest(adj, packed) if len(packed) == need else None
-        if rest is None:
+        if len(packed) < need:
             return False
+        rest = _rest(adj, packed)
+        if rest is None:
+            packed = _odd_cycle_packing(adj, need, g.triangles, reversed)
+            rest = _rest(adj, packed) if len(packed) == need else None
+            if rest is None:
+                return False
         adj = rest
         cap -= sum((len(c) + 1) // 2 for c in packed)
     target = 2 * cap + 1

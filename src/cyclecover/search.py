@@ -6,9 +6,10 @@ minimum degree 3 with no unconfined vertex near what its parent deleted
 are among them), answers the empty graph (the only forest reductions leave)
 with the linear forest solver, prunes when a lower bound exceeds the
 budget, splits into components (solved independently to their minima), and
-otherwise branches on a selected vertex v: include v with its mirrors, or
-exclude v by taking its whole neighborhood. Some minimum cover falls in one
-of the two branches (see ``selection.mirrors``).
+otherwise branches on a selected vertex v (``selection.select``; at degree
+5 and up, the one with the sparsest neighbourhood): include v with its
+mirrors, or exclude v by taking its whole neighborhood. Some minimum cover
+falls in one of the two branches (see ``selection.mirrors``).
 Decision mode returns on the first branch that fits the budget; minimization
 mode keeps the best and tightens the bound. After reduction, budgets and
 covers refer to the reduced graph: a node charges the reductions' cost once
@@ -21,11 +22,13 @@ disjoint odd cycles C, triangles first, plus the LP bound of the rest. It
 can prune only with need = 2 * cap - n + 1 cycles packed, and on reduced
 cubic-like graphs, whose LP bound is almost always ceil(n/2), it prunes
 where the LP bound cannot. One kernel call, ``bound_exceeds``, checks
-whichever bound applies and stops once it knows the answer. Every node
-checks after its reductions, packing up to need 6; that check is at least
-as strong as the Nemhauser-Trotter kernel's infeasibility test before them,
-so the search runs no NT kernel. Every branch and component child also
-checks before its reductions, packing up to need 2: every rule keeps
+whichever bound applies and stops once it knows the answer; where the
+first packing leaves a vertex next to its cycles that rules the bound out,
+it packs once more in reverse vertex order. Every node checks after its
+reductions, packing up to need 6; that check is at least as strong as
+the Nemhauser-Trotter kernel's infeasibility test before them, so the
+search runs no NT kernel. Every branch and component child also checks
+before its reductions, packing up to need 2: every rule keeps
 LP(G) <= LP(G') + cost, so a graph the LP check prunes would be pruned
 after its reductions too, and the reductions are skipped. Most pruned
 leaves end there. The root skips the early check, because reductions

@@ -1,6 +1,11 @@
 """Branch-vertex selection for graphs of minimum degree 3.
 
-The dispatch is a greedy heuristic: take the highest-degree vertex, and among
+The dispatch is a greedy heuristic: take the highest-degree vertex. Among
+candidates of degree 5 and up take the one with the sparsest neighbourhood,
+the smallest sum over its neighbours w of deg(w) + |N(w) & N(v)|, which
+counts each edge from N(v) outward once and each edge inside N(v) four
+times; on degree-capped graphs it gives smaller trees than the lowest id,
+together with the packing bound's second packing (``kernel``). Among
 degree-4 candidates prefer one with mirrors, otherwise maximize a
 conservative estimate of how much cycle structure the exclude branch
 destroys: the neighbors' degree sum minus 2 deg(v) minus 1. That estimate
@@ -117,7 +122,13 @@ def shortest_cycle_through(g: Graph, v: int, stop: int) -> int:
 
 
 def select(g: Graph) -> BranchPlan:
-    """Pick the branch vertex for a reduced graph (minimum degree >= 3)."""
+    """Pick the branch vertex for a reduced graph (minimum degree >= 3).
+
+    At maximum degree 5 and up: the maximum-degree vertex v with the
+    smallest sum over w in N(v) of deg(w) + |N(w) & N(v)|, lowest id on
+    ties. At degree 4: the best exclude estimate, preferring a vertex with
+    mirrors. On a 3-regular graph: the lowest vertex on a triangle, else
+    the one on the shortest cycle."""
     adj = g.adjacency()
     if not adj:
         raise ValueError("cannot select from an empty graph")
@@ -132,7 +143,11 @@ def select(g: Graph) -> BranchPlan:
         elif d == maxdeg:
             top.append(u)
     if maxdeg >= 5:
-        v = min(top)
+        # the sparsest neighbourhood: each neighbour counts its degree and
+        # its neighbours inside N(v), lowest id on ties
+        v = top[0]
+        if len(top) > 1:
+            v = min(top, key=lambda u: (sum(len(adj[w]) + len(adj[w] & adj[u]) for w in adj[u]), u))
         return BranchPlan(vertex=v, mirrors=mirrors(g, v), rule_tag=RuleTag.HIGH_DEGREE)
     if maxdeg == 4:
         # best exclude estimate first, lowest id on ties; the first candidate

@@ -389,7 +389,7 @@ def test_cli_leaves_the_recursion_limit_alone():
 
 
 def test_deep_runs_answer_under_a_low_recursion_limit():
-    cubic = emit_dimacs(generate("cubic", 2000, 1))  # the first dive reaches depth 217
+    cubic = emit_dimacs(generate("cubic", 2000, 1))  # the first dive reaches depth 209
     cycle = emit_dimacs(generate("cycle", 20000, 1))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)

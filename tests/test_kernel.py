@@ -295,14 +295,30 @@ def is_bipartite(g):
     return True
 
 
+def checked_packing(g, need, order, seed):
+    """The packing in order and the induced subgraph it leaves, checked to be
+    at most need disjoint odd closed cycles; a packing of fewer leaves a
+    bipartite rest."""
+    packed = _odd_cycle_packing(g.adjacency(), need, g.triangles, order)
+    assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
+    for c in packed:
+        assert len(c) >= 3 and len(c) % 2 == 1, seed
+        assert all(c[i - 1] in g.neighbors(c[i]) for i in range(len(c))), seed
+    rest = g.induced_subgraph(set(g.vertices()).difference(*packed))
+    if len(packed) < need:  # no odd cycle left among the unpacked vertices
+        assert is_bipartite(rest), seed
+    return packed, rest
+
+
 def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
     """The check matches the double cover of g - C without building it;
     it must answer as the LP bound of the induced subgraph does, with
     (|C| + 1) / 2 for each packed odd cycle C, wherever 1 <= need <= most,
     and as the LP bound of g wherever need <= 0. Where a vertex next to
     the cycles rules out a perfect double cover of g - C, the check gives
-    up before the matching; the matching must agree."""
-    compared = deep = late = cycles = given_up = 0
+    up on that packing before the matching, and the matching must agree;
+    it then answers as the packing in reverse vertex order does."""
+    compared = deep = late = cycles = given_up = rescued = 0
     for seed in range(200):
         rng = random.Random(seed)
         n = rng.randrange(6, 41)
@@ -314,52 +330,56 @@ def test_packing_bound_is_the_lp_bound_of_what_the_packing_leaves():
             need = 2 * cap - n + 1
             want = need <= 0 and lp_lower_bound(g) > cap
             if 1 <= need <= 6:
-                packed = _odd_cycle_packing(g.adjacency(), need, g.triangles)
-                assert len(set().union(*packed)) == sum(map(len, packed)) and len(packed) <= need, seed
-                for c in packed:
-                    assert len(c) >= 3 and len(c) % 2 == 1, seed
-                    assert all(c[i - 1] in g.neighbors(c[i]) for i in range(len(c))), seed
-                    cycles += len(c) > 3
-                rest = g.induced_subgraph(set(g.vertices()).difference(*packed))
+                packed, rest = checked_packing(g, need, iter, seed)
+                cycles += sum(len(c) > 3 for c in packed)
                 if len(packed) == need:
-                    want = sum((len(c) + 1) // 2 for c in packed) + lp_lower_bound(rest) > cap
                     compared += need <= 2
                     deep += 2 < need <= 4
                     late += need > 4
-                    if _rest(g.adjacency(), packed) is None:
-                        assert _double_cover_matching(rest.adjacency())[0] < rest.num_vertices(), seed
-                        given_up += 1
-                else:  # no odd cycle left among the unpacked vertices
-                    assert is_bipartite(rest), seed
+                stranded = len(packed) == need and _rest(g.adjacency(), packed) is None
+                if stranded:
+                    assert _double_cover_matching(rest.adjacency())[0] < rest.num_vertices(), seed
+                    given_up += 1
+                    packed, rest = checked_packing(g, need, reversed, seed)
+                    cycles += sum(len(c) > 3 for c in packed)
+                credit = sum((len(c) + 1) // 2 for c in packed)
+                want = len(packed) == need and credit + lp_lower_bound(rest) > cap
+                rescued += stranded and want
             for most in (2, 4, 6):
                 assert bound_exceeds(g, cap, most) == (want and need <= most), (seed, cap, most)
-    assert compared >= 100 and deep >= 70 and late >= 20 and cycles >= 30  # 177, 93, 25 and 298 seen
-    assert given_up >= 100  # 114 seen
+    assert compared >= 100 and deep >= 70 and late >= 20 and cycles >= 30  # 177, 93, 25 and 373 seen
+    assert given_up >= 100 and rescued >= 3  # 114 and 4 seen
 
 
 def test_rest_gives_up_where_a_packed_triangle_strands_a_vertex():
     """Triangles 012 and 013 share the edge 01, and 2 lies on the triangle
     245 too. The greedy first triangle, 012, leaves 3 without a neighbour,
-    so the rest 345 has no perfect double cover and the check gives up
-    without a matching, though packing 013 would prune at cap 3."""
+    so the rest 345 has no perfect double cover and the look gives up on it
+    without a matching. The packing in reverse order takes 452, whose rest
+    013 is a triangle, and that prunes at cap 3."""
     g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (2, 5), (4, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
     adj = g.adjacency()
     assert _odd_cycle_packing(adj, 1, g.triangles) == [(0, 1, 2)] and _rest(adj, [(0, 1, 2)]) is None
     assert lp_lower_bound(g.induced_subgraph({3, 4, 5})) == 1
-    assert not bound_exceeds(g, 3, 1)
+    assert _odd_cycle_packing(adj, 1, g.triangles, reversed) == [(4, 5, 2)]
+    assert _rest(adj, [(4, 5, 2)]) == {0: {1, 3}, 1: {0, 3}, 3: {0, 1}}
+    assert bound_exceeds(g, 3, 1)
     assert _rest(adj, [(0, 1, 3)]) == {2: {4, 5}, 4: {2, 5}, 5: {2, 4}}
 
 
 def test_rest_gives_up_where_a_packed_triangle_leaves_two_pendants_on_one_vertex():
     """The greedy first triangle, 025, leaves 3 and 4 with 1 as their only
-    neighbour, so the rest 134 has no perfect double cover."""
+    neighbour, so the rest 134 has no perfect double cover. The packing in
+    reverse order takes 123, whose rest 045 is a triangle."""
     g = Graph.from_edges([(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5)])
     assert lp_lower_bound(g) == 3 and min_vc_bruteforce(g)[0] == 4
     adj = g.adjacency()
     assert _odd_cycle_packing(adj, 1, g.triangles) == [(0, 2, 5)] and _rest(adj, [(0, 2, 5)]) is None
     assert lp_lower_bound(g.induced_subgraph({1, 3, 4})) == 1
-    assert not bound_exceeds(g, 3, 1)
+    assert _odd_cycle_packing(adj, 1, g.triangles, reversed) == [(1, 2, 3)]
+    assert _rest(adj, [(1, 2, 3)]) == {0: {4, 5}, 4: {0, 5}, 5: {0, 4}}
+    assert bound_exceeds(g, 3, 1)
     assert _rest(adj, [(0, 4, 5)]) == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
 
 
@@ -476,6 +496,47 @@ def test_packing_bound_never_exceeds_the_optimum_at_the_late_gate():
             _, wide, widest = bound_exceeds_within_the_optimum(g, opt, cap, (seed, cap))
             deeper += widest and not wide
     assert deeper >= 90  # 112 seen
+
+
+def test_second_packing_never_prunes_within_the_optimum():
+    """Wherever the first packing holds need cycles but strands a vertex next
+    to them, a prune comes from the packing in reverse vertex order; it must
+    never prune a cap the optimum fits. Two families of up to 22 vertices:
+    triangles and 5-cycles joined by random edges, where it prunes often at
+    needs 5-6, and degree-capped random graphs, where its rest passes the
+    look and reaches the matching at caps the optimum fits."""
+    rescued = {need: 0 for need in range(1, 7)}
+    tight = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        if seed % 2:
+            edges, n = [], 0
+            while n + (size := rng.choice((3, 3, 3, 5))) <= 22:
+                edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+                n += size
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n // 3, n))]
+            g = Graph.from_edges(edges)
+        else:
+            n = rng.randrange(10, 23)
+            g = random_max_degree(n, rng, max_deg=rng.randrange(3, 7), proposals=rng.choice((2, 3, 6)) * n)
+        n, adj = g.num_vertices(), g.adjacency()
+        opt = None
+        for cap in range(n // 2, n):
+            need = 2 * cap - n + 1
+            if not 1 <= need <= 6:
+                continue
+            packed = _odd_cycle_packing(adj, need, g.triangles)
+            if len(packed) < need or _rest(adj, packed) is not None:
+                continue
+            opt = opt or min_vc_bruteforce(g)[0]
+            if bound_exceeds(g, cap, 6):
+                assert opt > cap, (seed, cap)
+                rescued[need] += 1
+            elif opt <= cap:
+                second = _odd_cycle_packing(adj, need, g.triangles, reversed)
+                tight += len(second) == need and _rest(adj, second) is not None
+    assert sum(rescued.values()) >= 200 and tight >= 30  # 291 and 57 seen
+    assert rescued[5] + rescued[6] >= 70  # 94 and 14 seen
 
 
 def test_packing_bound_lifts_five_cycle_graphs_above_their_lp_bound():

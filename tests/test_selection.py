@@ -45,6 +45,25 @@ def test_high_degree_wins():
     assert plan.mirrors == frozenset()
 
 
+def test_high_degree_rule_takes_the_sparsest_neighbourhood():
+    """0 and 1 have degree 5, and every other vertex degree 3. The edges 23
+    and 45 lie inside N(0) = {2, ..., 6}, and none inside N(1) = {7, ...,
+    11}, so 1's neighbourhood key is 15 against 0's 19, and 1 wins though
+    its id is higher. In K6, relabelled, every key ties, and the lowest id
+    wins."""
+    g = Graph.from_edges(
+        [(0, w) for w in range(2, 7)] + [(1, w) for w in range(7, 12)]
+        + [(2, 3), (4, 5)] + [(w, w + 5) for w in range(2, 7)]
+        + [(12, 7), (12, 8), (12, 9), (13, 10), (13, 11), (13, 6)]
+    )
+    assert sorted(g.degree(v) for v in g.vertices()) == [3] * 12 + [5, 5]
+    plan = select(g)
+    assert plan.rule_tag is RuleTag.HIGH_DEGREE and plan.vertex == 1
+    ids = [8, 5, 11, 2, 9, 7]
+    k6 = Graph.from_edges((ids[u], ids[v]) for u, v in complete_graph(6).edges())
+    assert select(k6).vertex == 2
+
+
 def test_degree4_prefers_a_vertex_with_mirrors():
     g = Graph.from_edges(
         [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
