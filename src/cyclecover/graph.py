@@ -14,7 +14,8 @@ class Graph:
     need not be contiguous. The graph keeps no record of deleted ids. The
     search and the reductions only delete and fold, so every id a trace or a
     certificate names is one of the input's, and never stands for two
-    vertices. Nor does it record which neighborhoods a mutation changed:
+    vertices. It keeps no edge count: ``num_edges`` sums the neighbor sets,
+    in O(n). Nor does it record which neighborhoods a mutation changed:
     ``remove_vertex`` returns the vertices whose neighborhood it changed,
     and a caller that wants the record, as the search does for
     ``reduce_fixpoint``, collects it.
@@ -28,11 +29,10 @@ class Graph:
     index and leave an unbuilt one unbuilt.
     """
 
-    __slots__ = ("_adj", "_m", "_triangles")
+    __slots__ = ("_adj", "_triangles")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._m = 0
         self._triangles: set[int] | None = None
 
     @classmethod
@@ -52,7 +52,6 @@ class Graph:
                 if v < 0:
                     g.add_vertex(v)  # raises: ids are non-negative
                 adj[v] = set()
-        m = 0
         for pair in edges:
             u, v = pair
             if u == v:
@@ -61,12 +60,8 @@ class Graph:
                 g.add_vertex(u)
             if v not in adj:
                 g.add_vertex(v)
-            nu = adj[u]
-            if v not in nu:
-                nu.add(v)
-                adj[v].add(u)
-                m += 1
-        g._m = m
+            adj[u].add(v)
+            adj[v].add(u)
         return g
 
     # mutation
@@ -84,11 +79,9 @@ class Graph:
         for x in (u, v):
             if x not in self._adj:
                 self.add_vertex(x)
-        if v not in self._adj[u]:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            self._m += 1
-            self._triangles = None
+        self._adj[u].add(v)
+        self._adj[v].add(u)
+        self._triangles = None
 
     def remove_vertex(self, v: int) -> set[int]:
         """Delete v with its edges; returns its former neighbor set, which
@@ -99,7 +92,6 @@ class Graph:
         adj = self._adj
         for w in nbrs:
             adj[w].discard(v)
-        self._m -= len(nbrs)
         return nbrs
 
     def fold(self, u: int, s: int, r: int) -> set[int]:
@@ -125,7 +117,6 @@ class Graph:
             moved.discard(s)
             moved.add(r)
         kept |= absorbed
-        self._m -= 2 + len(common)
         tri = self._triangles
         if tri is not None:
             for w in absorbed:
@@ -193,7 +184,8 @@ class Graph:
         return len(self._adj)
 
     def num_edges(self) -> int:
-        return self._m
+        """Counted from the adjacency, in O(n)."""
+        return sum(map(len, self._adj.values())) // 2
 
     def connected_components(self) -> list[list[int]]:
         """Components as sorted id lists, ordered by smallest member."""
@@ -230,7 +222,6 @@ class Graph:
         keep_set = set(keep)
         sub = Graph()
         sub._adj = {v: self._require(v) & keep_set for v in keep_set}
-        sub._m = sum(map(len, sub._adj.values())) // 2
         if self._triangles is not None:
             sub._triangles = self._triangles & keep_set
         return sub
@@ -247,7 +238,6 @@ class Graph:
         """
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g._m = self._m
         g._triangles = None if self._triangles is None else set(self._triangles)
         return g
 
@@ -258,4 +248,4 @@ class Graph:
             raise ValueError(f"vertex {v} is not live") from None
 
     def __repr__(self) -> str:
-        return f"Graph(n={len(self._adj)}, m={self._m})"
+        return f"Graph(n={len(self._adj)}, m={self.num_edges()})"

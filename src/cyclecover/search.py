@@ -27,13 +27,15 @@ first packing leaves a vertex next to its cycles that rules the bound out,
 it packs once more in reverse vertex order. Every node checks after its
 reductions, packing up to need 6; that check is at least as strong as
 the Nemhauser-Trotter kernel's infeasibility test before them, so the
-search runs no NT kernel. Every branch and component child also checks
-before its reductions, packing up to need 2: every rule keeps
+search runs no NT kernel. Every branch child also checks before its
+reductions, packing up to need 2: every rule keeps
 LP(G) <= LP(G') + cost, so a graph the LP check prunes would be pruned
 after its reductions too, and the reductions are skipped. Most pruned
 leaves end there. The root skips the early check, because reductions
 shrink a handed-in graph first, and on a large sparse input the matching
-would run to the end only to answer no.
+would run to the end only to answer no. A component part skips it too:
+its reductions examine nothing, so its late check, on the same graph at
+the same cap, would repeat the early answer.
 
 A node pays only for what decides its answer: one connectivity test (component
 lists only when the graph splits), one graph copy (the include branch; the
@@ -120,19 +122,22 @@ def _node(
 
     Decision mode (first_fit) may return any cover within cap; minimization
     mode returns the exact minimum when it is within cap. changed is what
-    ``reduce_fixpoint`` takes: a child's set, or None at the root. A child
-    is checked against the lower bounds before the reductions as well as
-    after them. The result refers to g as handed in; g itself is consumed.
+    ``reduce_fixpoint`` takes: a child's set, or None at the root. A branch
+    child, whose set is never empty, is checked against the lower bounds
+    before the reductions as well as after them; the root (None) and a
+    component part (an empty set) only after. The result refers to g as
+    handed in; g itself is consumed.
     """
     if stats.nodes_expanded >= budget:
         raise ResourceLimitError(f"node budget {budget} exhausted")
     stats.nodes_expanded += 1
-    if cap < 0 or (cap == 0 and g.num_edges()):
+    adj = g.adjacency()
+    if cap < 0 or (cap == 0 and any(adj.values())):
         stats.k_exhausted_leaves += 1
         return None
-    if g.num_edges() == 0:
+    if not any(adj.values()):
         return 0, set()
-    if changed is not None and _bound_exceeds(g, cap, stats, late=False):
+    if changed and _bound_exceeds(g, cap, stats, late=False):
         return None
 
     trace: ReductionTrace = []
@@ -141,7 +146,7 @@ def _node(
     if cap < 0:
         stats.k_exhausted_leaves += 1
         return None
-    if g.num_edges() == 0:  # the empty graph; perfbench counts treecover calls
+    if not any(adj.values()):  # the empty graph; perfbench counts treecover calls
         size, cover = min_vc_forest(g)
         stats.tree_leaf_count += 1
     elif _bound_exceeds(g, cap, stats, late=True):

@@ -11,6 +11,7 @@ import cyclecover.search as search
 from cyclecover.errors import ResourceLimitError
 from cyclecover.generators import complete_graph, cycle_graph, generate, petersen_graph, random_max_degree
 from cyclecover.graph import Graph
+from cyclecover.kernel import _double_cover_matching, lp_lower_bound
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import lift_cover, reduce_fixpoint
 from cyclecover.search import check_node_budget, vc_decide, vc_minimum
@@ -180,16 +181,17 @@ def test_lp_check_before_reductions_skips_the_root(monkeypatch):
     assert seen and root not in seen
 
 
-def test_component_children_check_their_bound_before_their_reductions(monkeypatch):
-    """A component child is handed an empty changed set, so, like a branch
-    child, it is checked against its lower bound before its reductions run.
-    Within each search, only the root's reductions are handed None."""
+def test_component_parts_check_their_bound_once_after_their_empty_reductions(monkeypatch):
+    """A component part is handed an empty changed set, so its reductions
+    examine nothing, and its one bound check comes after them: it checks
+    only once before it branches or returns. Within each search, only the
+    root's reductions are handed None."""
     a = generate("cubic", 20, 5)  # a seed whose NO decide still splits at its root
     g = Graph.from_edges([*a.edges(), *((u + 20, v + 20) for u, v in a.edges())])
     comps = [frozenset(frozenset(e) for e in a.edges()),
              frozenset(frozenset((u + 20, v + 20)) for u, v in a.edges())]
     want = 2 * vc_minimum(a)[0]
-    calls, handed = [], []  # handed: whether each reduce_fixpoint call got None
+    calls, handed, parts = [], [], []  # handed: whether each reduce_fixpoint call got None
     real_bound, real_reduce = search.bound_exceeds, search.reduce_fixpoint
 
     def bound(h, cap, most):
@@ -199,18 +201,41 @@ def test_component_children_check_their_bound_before_their_reductions(monkeypatc
     def reduce(h, trace, changed):
         calls.append(("reduce", edge_set(h)))
         handed.append(changed is None)
+        if calls[-1][1] in comps:
+            parts.append(set(changed))
         return real_reduce(h, trace, changed)
 
     monkeypatch.setattr(search, "bound_exceeds", bound)
     monkeypatch.setattr(search, "reduce_fixpoint", reduce)
     assert vc_minimum(g)[0] == want
     for c in comps:
-        assert [name for name, edges in calls if edges == c][:2] == ["bound", "reduce"]
+        assert [name for name, edges in calls if edges == c] == ["reduce", "bound"]
+    assert parts == [set(), set()]
     assert handed[0] and len(handed) > 2 and not any(handed[1:])
     for k in (want, want - 1):
         handed.clear()
         vc_decide(g, k)
         assert handed[0] and len(handed) > 2 and not any(handed[1:]), k
+
+
+def test_split_prunes_on_the_sum_of_its_parts_lp_bounds():
+    """Six copies of a 7-vertex graph H with ceil(LP) = optimum = 4: at
+    k = 23 the root's own bound (need 5) cannot prune, and the split's sum
+    of the parts' LP bounds, 24, is what answers NO, in one node."""
+    h = Graph.from_edges([(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6),
+                          (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)])
+    assert lp_lower_bound(h) == min_vc_bruteforce(h)[0] == 4
+    assert _double_cover_matching(h.adjacency())[0] == 7
+    reduced, trace = h.clone(), []
+    reduce_fixpoint(reduced, trace)
+    assert not trace and edge_set(reduced) == edge_set(h)
+    g = Graph.from_edges([(u + 7 * i, v + 7 * i) for i in range(6) for u, v in h.edges()])
+    no = vc_decide(g, 23)
+    assert no.answer == "NO" and no.stats.nodes_expanded == 1
+    assert no.stats.k_exhausted_leaves == 1
+    assert no.stats.lp_prunes == no.stats.packing_prunes == 0
+    assert vc_decide(g, 24).answer == "YES"
+    assert vc_minimum(g)[0] == 24
 
 
 def test_stats_are_populated():
