@@ -18,7 +18,12 @@ class Graph:
     in O(n). Nor does it record which neighborhoods a mutation changed:
     ``remove_vertex`` returns the vertices whose neighborhood it changed,
     and a caller that wants the record, as the search does for
-    ``reduce_fixpoint``, collects it.
+    ``reduce_fixpoint``, collects it. One caller deletes without calling
+    ``remove_vertex``: ``reductions.reduce_low_degree`` deletes the vertices
+    its rules take through ``adjacency()``, as ``remove_vertex`` does. It
+    discards each from its neighbors' sets one member at a time, since a
+    bulk difference can rebuild a set and reorder it, and the packing
+    follows set order.
 
     ``triangles`` is the triangle index: a superset of the live vertices
     that lie on a triangle. The first read builds it exactly, and later
@@ -154,8 +159,9 @@ class Graph:
             return len(self._require(v))  # raises for an id not live
 
     def adjacency(self) -> dict[int, set[int]]:
-        """Live vertex -> neighbor set. Read-only, like ``neighbors``; for
-        hot loops that would otherwise pay a method call per lookup."""
+        """Live vertex -> neighbor set, for hot loops that would otherwise
+        pay a method call per lookup. Read-only, like ``neighbors``, except
+        to the degree peel (see the class docstring)."""
         return self._adj
 
     def on_triangle(self, v: int) -> bool:

@@ -8,39 +8,24 @@ and leaves no entry. ``reduce_fixpoint`` runs the degree rules (isolated,
 degree-1, degree-2 folding in one ``Graph.fold`` call) and includes
 unconfined vertices, a rule that covers domination.
 
-Trace entries are slotted, mutable dataclasses rather than frozen ones: a
-frozen ``__init__`` pays one ``object.__setattr__`` per field, and the degree
-rules create an entry at every firing that covers a vertex. They still
+Entries are plain values: a vertex that joins the cover is its int id, and
+a degree-2 fold is the tuple (u, s, r). The degree rules write one at most
+firings, so an entry costs no constructor call, and ints and tuples still
 compare by value.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .graph import Graph
 
-
-@dataclass(slots=True)
-class Include:
-    """v goes into the cover; its edges are covered and v is deleted."""
-    v: int
-
-@dataclass(slots=True)
-class FoldDeg2:
-    """Degree-2 u with non-adjacent neighbors s, r merged into r: r in the
-    lifted cover means {s, r}, otherwise u."""
-    u: int
-    s: int
-    r: int
-
-
-TraceEntry = Union[Include, FoldDeg2]
 # The rules' decisions in firing order. Each entry puts exactly one vertex in
-# the lifted cover, so the cost of the reductions is the trace's length.
-ReductionTrace = list[TraceEntry]
+# the lifted cover, so the cost of the reductions is the trace's length: an
+# id v is in the cover, and a fold (u, s, r), which merged u's non-adjacent
+# neighbors s and r into r, means {s, r} if r is in the cover, otherwise u.
+ReductionTrace = list[int | tuple[int, int, int]]
 
 
 def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
@@ -49,49 +34,12 @@ def lift_cover(trace: ReductionTrace, reduced_cover: Iterable[int]) -> set[int]:
     cover the reduced graph."""
     cover = set(reduced_cover)
     for entry in reversed(trace):
-        if isinstance(entry, Include):
-            cover.add(entry.v)
-        elif entry.r in cover:
-            cover.add(entry.s)
+        if type(entry) is int:
+            cover.add(entry)
         else:
-            cover.add(entry.u)
+            u, s, r = entry
+            cover.add(s if r in cover else u)
     return cover
-
-
-def fold_degree2(g: Graph, u: int, trace: ReductionTrace, changed: set[int] | None = None) -> set[int]:
-    """Resolve a degree-2 vertex; returns the live vertices whose degree fell.
-
-    Adjacent neighbors: both join the cover (two ``Include`` entries) and the
-    isolated u goes for free. Otherwise the triple {s, u, r} contracts into r
-    (one ``FoldDeg2`` entry) and the lift decides between {s, r} and {u}.
-    A given changed set gains every live vertex whose neighborhood changed:
-    r and s's other neighbors for a fold, the vertices that lost s or r
-    otherwise.
-    """
-    adj = g.adjacency()
-    nbrs = adj.get(u)
-    if nbrs is None or len(nbrs) != 2:
-        raise ValueError(f"fold needs a degree-2 vertex, got degree {g.degree(u)}")
-    s, r = nbrs
-    if s > r:
-        s, r = r, s
-    if r in adj[s]:
-        trace.extend((Include(s), Include(r)))
-        fell = g.remove_vertex(s)
-        fell |= g.remove_vertex(r)
-        g.remove_vertex(u)
-        fell.discard(u)
-        fell.discard(r)
-        if changed is not None:
-            changed |= fell
-    else:
-        if changed is not None:
-            changed |= adj[s]  # and u, which the fold deletes
-            changed.add(r)
-        fell = g.fold(u, s, r)
-        fell.add(r)
-        trace.append(FoldDeg2(u, s, r))
-    return fell
 
 
 def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None = None) -> None:
@@ -102,7 +50,15 @@ def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None 
     None examines every vertex. Given a changed set, the caller vouches that
     no vertex outside it starts at degree <= 2; ids no longer live are
     skipped, and the rules add to it every live vertex whose neighborhood
-    they change. ``fold_degree2`` decides every degree-2 vertex.
+    they change.
+
+    A pendant vertex's neighbor joins the cover. So do both neighbors of a
+    degree-2 vertex u if they are adjacent, and u goes for free; otherwise
+    ``Graph.fold`` merges them and the lift decides. A vertex that joins the
+    cover is deleted here, through ``g.adjacency()``, as ``remove_vertex``
+    would delete it: each neighbor discards it, one member at a time, and
+    is queued if that leaves it at degree 1 or 2, or deleted on the spot at
+    degree 0.
     """
     adj = g.adjacency()
     if changed is None:
@@ -116,8 +72,7 @@ def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None 
     todo.sort(reverse=True)
     heap: list[int] = []
     heappush, heappop, next_todo = heapq.heappush, heapq.heappop, todo.pop
-    append = trace.append
-    remove_vertex = g.remove_vertex
+    append, fold = trace.append, g.fold
     while True:
         if heap and (not todo or heap[0] < todo[-1]):
             v = heappop(heap)
@@ -129,20 +84,40 @@ def reduce_low_degree(g: Graph, trace: ReductionTrace, changed: set[int] | None 
         if nbrs is None or len(nbrs) > 2:
             continue
         if not nbrs:
-            remove_vertex(v)
+            del adj[v]
             continue
         if len(nbrs) == 1:
-            # the neighbor of a pendant vertex lies in some minimum cover
-            (w,) = nbrs
-            append(Include(w))
-            fell = remove_vertex(w)
-            if changed is not None:
-                changed |= fell
+            taken = tuple(nbrs)  # in some minimum cover
         else:
-            fell = fold_degree2(g, v, trace, changed)
-        for x in fell:
-            if len(adj[x]) <= 2:
-                heappush(heap, x)
+            s, r = nbrs
+            if s > r:
+                s, r = r, s
+            if r in adj[s]:
+                taken = (s, r)  # v is left isolated and goes for free
+            else:
+                append((v, s, r))
+                if changed is not None:
+                    changed |= adj[s]  # and v, which the fold deletes
+                    changed.add(r)
+                fell = fold(v, s, r)
+                fell.add(r)
+                for x in fell:
+                    if len(adj[x]) <= 2:
+                        heappush(heap, x)
+                continue
+        for w in taken:
+            append(w)
+            nw = adj.pop(w)
+            if changed is not None:
+                changed |= nw
+            for x in nw:
+                nx = adj[x]
+                nx.discard(w)
+                if len(nx) <= 2:
+                    if nx:
+                        heappush(heap, x)
+                    else:
+                        del adj[x]
 
 
 def reduce_fixpoint(g: Graph, trace: ReductionTrace, changed: set[int] | None = None) -> None:
@@ -186,7 +161,7 @@ def reduce_fixpoint(g: Graph, trace: ReductionTrace, changed: set[int] | None = 
         v = _first_unconfined(adj, unchecked)
         if v is None:
             return
-        trace.append(Include(v))
+        trace.append(v)
         fresh = g.remove_vertex(v)
 
 

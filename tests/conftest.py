@@ -47,6 +47,22 @@ def mixed_instance(seed: int, max_n: int = 18) -> Graph:
     return generate("maxdeg3", n, rng.randrange(10**9))
 
 
+def sparse_with_blocks(n: int, blocks: int, seed: int, block_n: int = 20) -> Graph:
+    """A random graph of maximum degree 3 on ids 0..n-1, isolated vertices
+    included, with cubic blocks of block_n vertices hung on it, each by a
+    path of two edges: the degree rules peel most of it away, and the search
+    branches inside the blocks."""
+    rng = random.Random(seed)
+    edges = list(random_max_degree(n, rng, max_deg=3, proposals=int(1.2 * n)).edges())
+    first = n
+    for _ in range(blocks):
+        edges += [(first + u, first + v) for u, v in generate("cubic", block_n, rng.randrange(10**9)).edges()]
+        mid = first + block_n
+        edges += [(first + rng.randrange(block_n), mid), (mid, rng.randrange(n))]
+        first = mid + 1
+    return Graph.from_edges(edges, vertices=range(n))
+
+
 def check_branching(g: Graph, plan: BranchPlan) -> None:
     """The tau invariants of one branching on v: the include child g - v and
     the exclude child g - N[v] never have more independent cycles than g, and

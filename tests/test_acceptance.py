@@ -18,11 +18,7 @@ from cyclecover.graph import Graph
 from cyclecover.kernel import nt_kernelize
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.errors import ResourceLimitError
-from cyclecover.reductions import (
-    fold_degree2,
-    lift_cover,
-    reduce_fixpoint,
-)
+from cyclecover.reductions import lift_cover, reduce_fixpoint
 from cyclecover.search import check_node_budget, vc_decide, vc_minimum
 from cyclecover.structure import circuit_rank, extra_degree_graph, strip_lines, tau, tau_upper_bound
 from cyclecover.treecover import min_vc_forest
@@ -32,7 +28,7 @@ import io
 
 from conftest import gnp, mixed_instance
 from cycle_oracle import max_real_cycle_bruteforce
-from graph_checks import is_forest
+from graph_checks import fold_degree2, is_forest
 
 REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 

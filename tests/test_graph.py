@@ -3,10 +3,9 @@ import random
 import pytest
 
 from cyclecover.graph import Graph
-from cyclecover.reductions import Include, fold_degree2
 
 from conftest import gnp
-from graph_checks import check_invariants, check_triangle_index, edge_set, is_forest
+from graph_checks import check_invariants, check_triangle_index, edge_set, fold_degree2, is_forest, snapshot
 
 
 def test_from_edges_builds_and_dedups():
@@ -52,17 +51,6 @@ def test_from_edges_matches_add_edge():
         assert snapshot(g) == snapshot(ref)
 
 
-def snapshot(g: Graph):
-    """Everything a mutation may change, in iteration order; reads the
-    triangle index without building it."""
-    adj = g.adjacency()
-    return (
-        [(v, list(nbrs)) for v, nbrs in adj.items()],
-        g.num_edges(),
-        None if g._triangles is None else set(g._triangles),
-    )
-
-
 def test_remove_vertex_cleans_edges():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
     assert g.remove_vertex(1) == {0, 2}
@@ -93,7 +81,7 @@ def test_fold_leaves_adjacent_neighbors_to_fold_degree2():
     assert edge_set(g) == edge_set(Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]))
     trace = []
     assert fold_degree2(g, 0, trace) == {3}
-    assert trace == [Include(1), Include(2)]
+    assert trace == [1, 2]
     assert sorted(g.vertices()) == [3] and g.num_edges() == 0
 
 

@@ -7,17 +7,17 @@ from cyclecover import reductions
 from cyclecover.generators import generate, random_max_degree
 from cyclecover.graph import Graph
 from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
-from cyclecover.reductions import (
-    FoldDeg2,
-    Include,
-    fold_degree2,
-    lift_cover,
-    reduce_fixpoint,
-    reduce_low_degree,
-)
+from cyclecover.reductions import lift_cover, reduce_fixpoint, reduce_low_degree
 
-from conftest import mixed_instance
-from graph_checks import closed_neighborhood, edge_set
+from conftest import mixed_instance, sparse_with_blocks
+from graph_checks import (
+    check_invariants,
+    closed_neighborhood,
+    edge_set,
+    fold_degree2,
+    reduce_low_degree_by_rules,
+    snapshot,
+)
 
 
 def residual_optimum(g, trace):
@@ -51,10 +51,9 @@ def test_fold_nonadjacent_contracts():
     fold_degree2(g, 0, t)
     assert len(t) == 1
     assert not g.has_vertex(0)
-    entry = t[-1]
-    assert isinstance(entry, FoldDeg2)
+    assert t == [(0, 1, 2)]
     # r inherits both tails
-    assert g.degree(entry.r) == 2
+    assert g.degree(2) == 2
 
 
 def test_fold_adjacent_takes_both_neighbors():
@@ -85,7 +84,7 @@ def test_domination_adjacent_superset():
     g = Graph.from_edges(edges)
     t = []
     reduce_fixpoint(g, t)
-    assert t[0] == Include(0)
+    assert t[0] == 0
     assert g.num_vertices() == 0 and len(t) == 3
     assert is_vertex_cover(Graph.from_edges(edges), lift_cover(t, set()))
 
@@ -96,7 +95,10 @@ def test_trace_vocabulary_is_what_the_rules_emit():
         t = []
         reduce_fixpoint(mixed_instance(seed), t)
         emitted |= {type(entry) for entry in t}
-    assert set(typing.get_args(reductions.TraceEntry)) == emitted == {Include, FoldDeg2}
+        assert all(type(entry) is int or len(entry) == 3 for entry in t), seed
+    (entry,) = typing.get_args(reductions.ReductionTrace)
+    declared = {typing.get_origin(kind) or kind for kind in typing.get_args(entry)}
+    assert declared == emitted == {int, tuple}
 
 
 def test_fixpoint_reaches_min_degree_three():
@@ -127,15 +129,15 @@ def test_lift_is_order_sensitive_replay():
     g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = []
     fold_degree2(g, 0, t)
-    entry = t[-1]
+    u, s, r = t[-1]
     size, cover = min_vc_bruteforce(g)
     lifted = lift_cover(t, cover)
     orig = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     assert is_vertex_cover(orig, lifted)
-    if entry.r in cover:
-        assert {entry.s, entry.r} <= lifted
+    if r in cover:
+        assert {s, r} <= lifted
     else:
-        assert entry.u in lifted
+        assert u in lifted
 
 
 def low_degree_by_full_rescans(g, trace):
@@ -149,12 +151,12 @@ def low_degree_by_full_rescans(g, trace):
             g.remove_vertex(v)
         elif g.degree(v) == 1:
             (w,) = g.neighbors(v)
-            trace.append(Include(w))
+            trace.append(w)
             g.remove_vertex(w)
         else:
             s, r = sorted(g.neighbors(v))
             if g.has_edge(s, r):
-                trace += [Include(s), Include(r)]
+                trace += [s, r]
                 for x in (s, r, v):
                     g.remove_vertex(x)
             else:
@@ -162,7 +164,7 @@ def low_degree_by_full_rescans(g, trace):
                 for w in sorted(g.neighbors(s)):
                     g.add_edge(r, w)
                 g.remove_vertex(s)
-                trace.append(FoldDeg2(u=v, s=s, r=r))
+                trace.append((v, s, r))
 
 
 def is_unconfined(g, v):
@@ -213,7 +215,7 @@ def reduce_by_rescans(g, trace, since=None):
                 break
         if found is None:
             return
-        trace.append(Include(found))
+        trace.append(found)
         g.remove_vertex(found)
 
 
@@ -261,6 +263,74 @@ def test_dirty_fixpoint_matches_full_rescans():
         assert edge_set(g) == edge_set(ref) and sorted(g.vertices()) == sorted(ref.vertices()), seed
         fired += len(t)
     assert fired > 500
+
+
+def after_a_branch(g, rng):
+    """g reduced to its fixpoint, then one branch's deletions: a random vertex
+    (include) or its closed neighborhood (exclude). Returns the neighbor
+    sets' union, the changed set the search hands the child."""
+    reduce_fixpoint(g, [])
+    live = sorted(g.vertices())
+    if not live:
+        return set()
+    v = rng.choice(live)
+    doomed = [v] if rng.random() < 0.5 else [*sorted(g.neighbors(v)), v]
+    return set().union(*map(g.remove_vertex, doomed))
+
+
+def peel_instances():
+    """Graphs for the peel's exactness test, each with the changed set a
+    caller may hand the peel, None included: degree-capped random graphs,
+    cubic graphs after a branch, whose degree-2 vertices fold, and sparse
+    graphs of a few thousand vertices with cubic blocks hung on them."""
+    rng = random.Random(47)
+    for _ in range(150):
+        n = rng.randrange(6, 60)
+        g = random_max_degree(n, rng, max_deg=rng.randrange(2, 7), proposals=rng.randrange(n, 4 * n))
+        yield g, None
+        # a caller vouches for every vertex outside the set
+        yield g, {v for v in g.vertices() if g.degree(v) <= 2 or rng.random() < 0.3}
+    for seed in range(1, 41):
+        g = generate("cubic", 30 + 2 * seed, seed)
+        changed = after_a_branch(g, rng)
+        yield g, None
+        yield g, changed
+    for seed in range(1, 4):
+        g = sparse_with_blocks(3000, 8, seed)
+        yield g, None
+        changed = after_a_branch(g, rng)
+        yield g, changed
+
+
+def test_one_pass_peel_matches_the_rule_by_rule_reference():
+    """reduce_low_degree fires as the rules written one by one fire, and
+    leaves copies of the same graph as they leave them: the same trace, dict
+    order, iteration order of every neighbor set and of its copy's (which
+    reads the set's table), triangle index, and live members of a given
+    changed set."""
+    rng = random.Random(5)
+    includes = folds = given = 0
+    for g, changed in peel_instances():
+        if rng.random() < 0.5:
+            g.triangles  # build the index, which folds keep up
+        ours, ref = g.clone(), g.clone()
+        ours_changed = None if changed is None else set(changed)
+        ref_changed = None if changed is None else set(changed)
+        t, t_ref = [], []
+        reduce_low_degree(ours, t, ours_changed)
+        reduce_low_degree_by_rules(ref, t_ref, ref_changed)
+        check_invariants(ours)
+        check_invariants(ref)
+        assert t == t_ref
+        assert snapshot(ours) == snapshot(ref)
+        assert snapshot(ours.clone()) == snapshot(ref.clone())
+        if changed is not None:
+            live = ours.adjacency().keys()
+            assert ours_changed & live == ref_changed & live
+            given += 1
+        folds += sum(type(entry) is tuple for entry in t)
+        includes += sum(type(entry) is int for entry in t)
+    assert given >= 190 and folds > 3_000 and includes > 3_000, (given, folds, includes)
 
 
 def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
@@ -328,7 +398,7 @@ def test_fixpoint_adds_every_changed_neighborhood_to_its_set(monkeypatch):
     changed = g.remove_vertex(10) | g.remove_vertex(11)
     t = []
     reduce_fixpoint(g, t, changed)
-    assert t == [Include(8)] and changed & set(g.vertices()) == {0, 1, 2, 4, 5, 6, 7}
+    assert t == [8] and changed & set(g.vertices()) == {0, 1, 2, 4, 5, 6, 7}
 
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], vertices=[5])
     changed = {5}
@@ -371,5 +441,5 @@ def test_unconfined_beyond_domination():
     assert all(is_unconfined(prism, v) for v in prism.vertices())
     t = []
     reduce_fixpoint(prism, t)
-    assert t[0] == Include(0)
+    assert t[0] == 0
     assert prism.num_vertices() == 0 and len(t) == 4 == len(lift_cover(t, set()))

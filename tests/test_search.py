@@ -16,8 +16,8 @@ from cyclecover.oracle import is_vertex_cover, min_vc_bruteforce
 from cyclecover.reductions import lift_cover, reduce_fixpoint
 from cyclecover.search import check_node_budget, vc_decide, vc_minimum
 
-from conftest import mixed_instance
-from graph_checks import edge_set
+from conftest import mixed_instance, sparse_with_blocks
+from graph_checks import edge_set, snapshot
 
 
 def test_trivial_graphs():
@@ -278,19 +278,38 @@ PINNED_NODES = [
 ]
 
 
+def pinned_graph(model, seed):
+    if model == "cubic":
+        return generate("cubic", 60, seed)
+    return random_max_degree(50, random.Random(seed), max_deg=5, proposals=250)
+
+
 @pytest.mark.parametrize(
     "instance, opt, min_nodes, no_nodes", PINNED_NODES, ids=[f"{m}-{s}" for (m, s), *_ in PINNED_NODES]
 )
 def test_node_counts_pinned(instance, opt, min_nodes, no_nodes):
-    model, seed = instance
-    if model == "cubic":
-        g = generate("cubic", 60, seed)
-    else:
-        g = random_max_degree(50, random.Random(seed), max_deg=5, proposals=250)
+    g = pinned_graph(*instance)
     size, _, stats = vc_minimum(g)
     assert (size, stats.nodes_expanded) == (opt, min_nodes)
     verdict = vc_decide(g, opt - 1)
     assert (verdict.answer, verdict.stats.nodes_expanded) == ("NO", no_nodes)
+
+
+def test_entry_points_leave_the_callers_graph_as_it_was():
+    """vc_minimum, and vc_decide at the optimum and one below, search a copy:
+    the caller's graph keeps its dict order, each neighbor set's iteration
+    order and its triangle index, built or not."""
+    graphs = [pinned_graph(*instance) for instance, *_ in PINNED_NODES]
+    graphs += [sparse_with_blocks(3000, 8, seed) for seed in (1, 2)]
+    for i, g in enumerate(graphs):
+        if i % 2:
+            g.triangles  # build the index on every other graph
+        before = snapshot(g)
+        size = vc_minimum(g)[0]
+        assert snapshot(g) == before, i
+        for k in (size, size - 1):
+            vc_decide(g, k)
+            assert snapshot(g) == before, (i, k)
 
 
 # the tier where the search branches: cubic n=160 and n=200, generator seeds
@@ -349,6 +368,19 @@ def same_tree_corpus():
     for seed in range(1, 21):
         n = 50 + 2 * seed
         yield random_max_degree(n, random.Random(seed), max_deg=5, proposals=5 * n)
+
+
+def coverage_corpus():
+    """65 graphs for the tests that count work: max-degree-5 and cubic ones a
+    little larger than same_tree_corpus's, so that the unconfined scan and
+    the branchings clear their floors with room (5,150 calls, 1,907
+    firings and 2,758 branchings when this corpus was made), and a change
+    that shrinks trees need not grow the corpus SAME_TREE_DIGEST pins."""
+    for seed in range(100, 140):
+        n = 70 + 5 * (seed % 5)
+        yield random_max_degree(n, random.Random(seed), max_deg=5, proposals=5 * n)
+    for seed in range(100, 125):
+        yield generate("cubic", 80 + 2 * (seed % 10), seed)
 
 
 def search_fingerprint(answer, cover, stats):
@@ -422,7 +454,7 @@ def test_unconfined_scan_runs_at_minimum_degree_three_and_fires_on_triangles(mon
         return v
 
     monkeypatch.setattr(reductions, "_first_unconfined", checking)
-    for g in same_tree_corpus():
+    for g in coverage_corpus():
         size = vc_minimum(g)[0]
         if size > 0:
             vc_decide(g, size - 1)
@@ -452,7 +484,7 @@ def test_triangle_index_is_built_after_the_roots_first_peel(monkeypatch):
 
 
 def test_tau_invariants_hold_at_every_branching(checked_branchings):
-    for g in same_tree_corpus():
+    for g in coverage_corpus():
         size = vc_minimum(g)[0]
         vc_decide(g, size)
         if size > 0:
