@@ -32,6 +32,9 @@ class Graph:
     every triangle it closes, and ``add_edge`` drops a built index, so the
     next read builds it again. Copies and induced subgraphs carry a built
     index and leave an unbuilt one unbuilt.
+
+    Isolated vertices cost no walk: ``num_components`` counts them in one
+    pass, and ``clone_without_isolated`` leaves them out of a copy.
     """
 
     __slots__ = ("_adj", "_triangles")
@@ -136,14 +139,28 @@ class Graph:
     def triangles(self) -> set[int]:
         """The triangle index, built on first read.
 
-        The build calls ``on_triangle`` for every live vertex, so it is put
-        off until a reader needs it. In a search that is after the root's
-        first degree peel, which on a large sparse input deletes most of the
-        vertices the build would scan: on one seed-1 ``sparse-blocks`` graph
-        of the benchmark it takes 21,240 vertices to about 1,000.
+        The build scans every live vertex, so it is put off until a reader
+        needs it. In a search that is after the root's first degree peel,
+        which on a large sparse input deletes most of the vertices the build
+        would scan: on one seed-1 ``sparse-blocks`` graph of the benchmark it
+        takes 21,240 vertices to about 1,000. A vertex v with two adjacent
+        neighbors w and x marks v, w and every such x, and a marked vertex is
+        not tested again: the set is the one an ``on_triangle`` test per
+        vertex gives, and every reader uses it by membership, so the order
+        the marks make never shows.
         """
         if self._triangles is None:
-            self._triangles = {v for v in self._adj if self.on_triangle(v)}
+            adj = self._adj
+            tri: set[int] = set()
+            for v, nv in adj.items():
+                if v not in tri:
+                    for w in nv:
+                        if not nv.isdisjoint(adj[w]):
+                            tri |= nv & adj[w]
+                            tri.add(v)
+                            tri.add(w)
+                            break
+            self._triangles = tri
         return self._triangles
 
     def has_vertex(self, v: int) -> bool:
@@ -198,17 +215,24 @@ class Graph:
         return sorted(sorted(comp) for comp in self._components())
 
     def num_components(self) -> int:
-        """The number of components, counted without sorting them."""
-        return sum(1 for _ in self._components())
+        """The number of components, counted without sorting them. The
+        isolated vertices are counted in one pass and only the others are
+        walked: in a large sparse input many vertices can be isolated (2,583
+        of 21,240 on one seed-1 ``sparse-blocks`` graph of the benchmark)."""
+        isolated = [*map(len, self._adj.values())].count(0)
+        return isolated + sum(1 for _ in self._components(isolated))
 
-    def _components(self) -> Iterator[list[int]]:
+    def _components(self, isolated: int = 0) -> Iterator[list[int]]:
         """Each component's vertices in breadth-first order from its first
         vertex in iteration order. The list is the walk's queue, so it
-        grows while it is walked; the walk stops once every vertex is seen."""
+        grows while it is walked; the walk stops once every vertex is seen.
+        Told that the graph has isolated vertices, it skips them and stops
+        once every other vertex is seen."""
         adj = self._adj
         seen: set[int] = set()
+        rest = len(adj) - isolated
         for s in adj:
-            if s in seen:
+            if s in seen or (isolated and not adj[s]):
                 continue
             seen.add(s)
             comp = [s]
@@ -218,11 +242,14 @@ class Graph:
                         seen.add(w)
                         comp.append(w)
             yield comp
-            if len(seen) == len(adj):
+            if len(seen) == rest:
                 return
 
     def is_connected(self) -> bool:
-        return self.num_components() <= 1
+        """Whether the first component holds every vertex. Only that
+        component is walked, so a graph that splits is walked in full once,
+        by the ``connected_components`` call that follows."""
+        return len(next(self._components(), ())) == len(self._adj)
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = set(keep)
@@ -239,11 +266,23 @@ class Graph:
         set copy re-inserts its members. ``kernel.bound_exceeds``'s greedy
         packing and matching follow that order, so a graph and its copy may
         answer the same check differently; both answers are sound. The
-        search stays deterministic because ``_search`` always clones its
-        root and ``parse_dimacs`` builds the sets in edge-line order.
+        search stays deterministic because ``_search`` always copies its
+        root, with ``clone_without_isolated``, and ``parse_dimacs`` builds
+        the sets in edge-line order.
         """
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g._triangles = None if self._triangles is None else set(self._triangles)
+        return g
+
+    def clone_without_isolated(self) -> "Graph":
+        """``clone`` less the isolated vertices: every other neighbor set is
+        copied as ``clone`` copies it, in the same dict order, and a built
+        index is carried as ``clone`` carries it. So each set iterates as it
+        would in a clone from which the isolated vertices were then deleted.
+        """
+        g = Graph()
+        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items() if nbrs}
         g._triangles = None if self._triangles is None else set(self._triangles)
         return g
 

@@ -194,9 +194,16 @@ def _bound_exceeds(g: Graph, cap: int, stats: SearchStats, late: bool) -> bool:
 
 def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchStats) -> _Node:
     """Components are independent: their minima add. Each is minimized under
-    the budget left over after lower-bounding the others by LP."""
+    the budget left over after lower-bounding the others by LP.
+
+    Where cap >= n, as in a minimization until it finds its first cover, the
+    bounds are skipped: no sum of them can exceed cap, and each part gets a
+    budget of at least its own size with or without them. Under such a
+    budget a part's search meets no bound that prunes before its first
+    cover, and takes every later budget from the covers it finds, so the
+    parts search the same trees."""
     subs = [g.induced_subgraph(c) for c in comps]
-    bounds = [lp_lower_bound(s) for s in subs]
+    bounds = [0] * len(subs) if cap >= g.num_vertices() else [lp_lower_bound(s) for s in subs]
     if sum(bounds) > cap:
         stats.k_exhausted_leaves += 1
         return None
@@ -214,10 +221,17 @@ def _solve_components(g: Graph, comps: list[list[int]], cap: int, stats: SearchS
 
 def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, SearchStats]:
     """Run the search on a copy of g and certify what it finds. The stack holds
-    the open nodes, root first; the top one is sent its last child's result."""
+    the open nodes, root first; the top one is sent its last child's result.
+
+    The copy leaves out g's isolated vertices, which on a large sparse input
+    can be an eighth of it. That is exact: the root's degree peel, handed
+    None, would delete each of them, and deleting one writes no trace entry
+    and touches no other vertex, so the peel leaves the graph, down to the
+    order of each neighbor set, as it leaves a full clone. A graph with no
+    edge answers at once either way."""
     stats = SearchStats()
     stats.tau_root = circuit_rank(g)
-    stack = [_node(g.clone(), cap, first_fit, None, budget, stats)]
+    stack = [_node(g.clone_without_isolated(), cap, first_fit, None, budget, stats)]
     result: _Result = None
     while stack:
         try:

@@ -39,6 +39,8 @@ def strip_lines(g: Graph) -> Graph:
 
 
 def circuit_rank(g: Graph) -> int:
+    """m - n + c, in O(n + m); ``Graph.num_components`` counts the isolated
+    vertices without walking them."""
     return g.num_edges() - g.num_vertices() + g.num_components()
 
 

@@ -6,6 +6,8 @@ size is twice the LP optimum. networkx is a test-only dependency: without it
 the module is skipped, and the package itself stays standard-library only.
 """
 
+import random
+
 import pytest
 
 from cyclecover.generators import generate
@@ -48,6 +50,23 @@ def double_cover_matching(g: Graph) -> int:
 def test_circuit_rank_is_the_cycle_basis_size():
     for i, g in enumerate(corpus()):
         assert circuit_rank(g) == len(nx.cycle_basis(to_networkx(g))), i
+
+
+def test_counts_with_many_isolated_vertices():
+    """Graph counts isolated vertices without walking them, and tests
+    connectivity on its first component alone; networkx walks them all."""
+    rng = random.Random(32)
+    for i in range(300):
+        n = rng.randrange(40)
+        ids = rng.sample(range(3 * n + 1), n)
+        joined = ids[: rng.randint(0, n)]  # edges join these; the rest stay isolated
+        edges = [rng.sample(joined, 2) for _ in range(rng.randrange(2 * len(joined) + 1))] if len(joined) > 1 else []
+        g = Graph.from_edges(edges, ids)
+        h = to_networkx(g)
+        assert g.num_components() == nx.number_connected_components(h), i
+        assert circuit_rank(g) == len(nx.cycle_basis(h)), i
+        assert g.is_connected() == (n == 0 or nx.is_connected(h)), i
+        assert g.connected_components() == sorted(sorted(c) for c in nx.connected_components(h)), i
 
 
 def test_lp_value_is_half_the_double_cover_matching():

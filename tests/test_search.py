@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -238,6 +239,94 @@ def test_split_prunes_on_the_sum_of_its_parts_lp_bounds():
     assert vc_minimum(g)[0] == 24
 
 
+def test_a_split_within_n_skips_its_parts_lp_bounds(monkeypatch):
+    """A split whose cap is at least its vertex count, as at a minimization's
+    root, makes no LP call, and searches the same trees, with the same
+    answers and covers, as the split that bounds every part first."""
+    real_split = search._solve_components
+
+    def bounded_split(g, comps, cap, stats):  # the split with every bound
+        subs = [g.induced_subgraph(c) for c in comps]
+        bounds = [lp_lower_bound(s) for s in subs]
+        if sum(bounds) > cap:
+            stats.k_exhausted_leaves += 1
+            return None
+        total, cover = 0, set()
+        for i, sub in enumerate(subs):
+            r = yield sub, cap - total - sum(bounds[i + 1 :]), False, set()
+            if r is None:
+                return None
+            total, cover = total + r[0], cover | r[1]
+        return total, cover
+
+    def fingerprints(g):
+        size, cover, stats = vc_minimum(g)
+        rows = [search_fingerprint(size, cover, stats)]
+        for k in (size, size - 1):
+            verdict = vc_decide(g, k)
+            rows.append(search_fingerprint(verdict.answer, verdict.cover, verdict.stats))
+        return rows
+
+    h = Graph.from_edges([(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6),
+                          (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)])
+    a = generate("cubic", 20, 5)
+    graphs = [Graph.from_edges([(u + 7 * i, v + 7 * i) for i in range(6) for u, v in h.edges()]),
+              Graph.from_edges([*a.edges(), *((u + 20, v + 20) for u, v in a.edges())])]
+    graphs += [sparse_with_blocks(3000, 8, seed) for seed in (1, 2)]
+    lp_calls, wide = 0, []
+
+    def counting_lp(part):
+        nonlocal lp_calls
+        lp_calls += 1
+        return lp_lower_bound(part)
+
+    def watching(g, comps, cap, stats):
+        wide.append(cap >= g.num_vertices())
+        return (yield from real_split(g, comps, cap, stats))
+
+    monkeypatch.setattr(search, "lp_lower_bound", counting_lp)
+    monkeypatch.setattr(search, "_solve_components", watching)
+    for i, g in enumerate(graphs):
+        wide.clear()
+        lp_calls = 0
+        vc_minimum(g)
+        assert wide and all(wide) and lp_calls == 0, i
+    found = [fingerprints(g) for g in graphs]
+    monkeypatch.setattr(search, "_solve_components", bounded_split)
+    assert [fingerprints(g) for g in graphs] == found
+
+
+def test_isolated_vertices_change_no_search():
+    """Isolated vertices added under ids interleaved with a graph's, and at
+    random places in its dict order, change no answer, cover, tree or stat,
+    tau_root included: each adds one to n and one to c. The root's copy
+    leaves them out, and the caller's graph keeps them, its dict order, each
+    neighbor set's order and its triangle index, built or not."""
+    rng = random.Random(32)
+    graphs = [pinned_graph(*instance) for instance, *_ in PINNED_NODES]
+    graphs += itertools.islice(coverage_corpus(), 0, None, 16)
+    for i, g in enumerate(graphs):
+        edges = [(2 * u, 2 * v) for u, v in g.edges()]
+        ids = [2 * v for v in g.vertices()]
+        order = ids[:]
+        for v in rng.sample(range(1, 2 * len(ids) + 1, 2), len(ids) // 2):
+            order.insert(rng.randrange(len(order) + 1), v)
+        plain, padded = Graph.from_edges(edges, ids), Graph.from_edges(edges, order)
+        assert padded.num_vertices() - plain.num_vertices() == len(ids) // 2
+        if i % 2:  # build the index on every other graph
+            plain.triangles, padded.triangles
+        before = snapshot(padded)
+        size, cover, stats = vc_minimum(padded)
+        assert search_fingerprint(size, cover, stats) == search_fingerprint(*vc_minimum(plain)), i
+        assert snapshot(padded) == before, i
+        for k in (size, size - 1):
+            want, got = vc_decide(plain, k), vc_decide(padded, k)
+            assert search_fingerprint(got.answer, got.cover, got.stats) == search_fingerprint(
+                want.answer, want.cover, want.stats
+            ), (i, k)
+            assert snapshot(padded) == before, (i, k)
+
+
 def test_stats_are_populated():
     g = petersen_graph()
     size, cover, stats = vc_minimum(g)
@@ -464,23 +553,23 @@ def test_unconfined_scan_runs_at_minimum_degree_three_and_fires_on_triangles(mon
 def test_triangle_index_is_built_after_the_roots_first_peel(monkeypatch):
     """A cubic block of 20 vertices hangs off a path of 20,000. The degree
     rules peel the path away before anything reads the triangle index, so
-    the build, one ``on_triangle`` call per live vertex, scans the block
-    alone; a build before the peel would scan the path too."""
-    calls = 0
-    real = Graph.on_triangle
+    the build, which scans every live vertex at the first read, scans the
+    block alone; a build before the peel would scan the path too."""
+    scanned = []  # the live vertices at each read that builds the index
+    real = Graph.triangles
 
-    def counting(self, v):
-        nonlocal calls
-        calls += 1
-        return real(self, v)
+    def recording(self):
+        if self._triangles is None:
+            scanned.append(self.num_vertices())
+        return real.fget(self)
 
-    monkeypatch.setattr(Graph, "on_triangle", counting)
+    monkeypatch.setattr(Graph, "triangles", property(recording))
     block, path = 20, 20_000
     edges = [(block + i, block + i + 1) for i in range(path - 1)]
     edges += [*generate("cubic", block, 1).edges(), (0, block + path // 2)]
     size, cover, _ = vc_minimum(Graph.from_edges(edges))
     assert size == len(cover) == block // 2 + path // 2 + 1
-    assert 0 < calls <= 3 * block
+    assert scanned and 0 < scanned[0] <= 3 * block
 
 
 def test_tau_invariants_hold_at_every_branching(checked_branchings):
