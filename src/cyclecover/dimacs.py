@@ -89,7 +89,7 @@ def _parse_canonical(text: str, warnings: list[str] | None) -> Graph | None:
     return _build(n, us, vs, warnings)
 
 
-def _parse_lines(text: str, warnings: list[str] | None = None) -> Graph:
+def _parse_lines(text: str, warnings: list[str] | None) -> Graph:
     """The line-by-line reader of the whole grammar, and the one that
     reports errors."""
     lines = text.split("\n")

@@ -67,13 +67,17 @@ def random_max_degree(n: int, rng: random.Random, max_deg: int = 3, proposals: i
     return g
 
 
-def random_cubic(n: int, rng: random.Random, max_tries: int = 2000) -> Graph:
+# Pairings random_cubic draws before it gives up on a simple graph.
+PAIRING_TRIES = 2000
+
+
+def random_cubic(n: int, rng: random.Random) -> Graph:
     """3-regular graph by the pairing model: three stubs per vertex, a random
     perfect pairing of stubs, whole pairing rejected on loops or repeats."""
     if n < 4 or n % 2 != 0:
         raise ValueError("a 3-regular graph needs an even n >= 4")
     stubs = [v for v in range(n) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         rng.shuffle(stubs)
         seen: set[tuple[int, int]] = set()
         ok = True
@@ -85,7 +89,7 @@ def random_cubic(n: int, rng: random.Random, max_tries: int = 2000) -> Graph:
             seen.add((min(u, v), max(u, v)))
         if ok:
             return Graph.from_edges(seen)
-    raise RuntimeError(f"pairing model failed to produce a simple graph in {max_tries} tries")
+    raise RuntimeError(f"pairing model failed to produce a simple graph in {PAIRING_TRIES} tries")
 
 
 MODELS = ("cubic", "maxdeg3", "tree", "cycle")

@@ -32,9 +32,6 @@ class Graph:
     every triangle it closes, and ``add_edge`` drops a built index, so the
     next read builds it again. Copies and induced subgraphs carry a built
     index and leave an unbuilt one unbuilt.
-
-    Isolated vertices cost no walk: ``num_components`` counts them in one
-    pass, and ``clone_without_isolated`` leaves them out of a copy.
     """
 
     __slots__ = ("_adj", "_triangles")
@@ -215,24 +212,17 @@ class Graph:
         return sorted(sorted(comp) for comp in self._components())
 
     def num_components(self) -> int:
-        """The number of components, counted without sorting them. The
-        isolated vertices are counted in one pass and only the others are
-        walked: in a large sparse input many vertices can be isolated (2,583
-        of 21,240 on one seed-1 ``sparse-blocks`` graph of the benchmark)."""
-        isolated = [*map(len, self._adj.values())].count(0)
-        return isolated + sum(1 for _ in self._components(isolated))
+        """The number of components, counted without sorting them."""
+        return sum(1 for _ in self._components())
 
-    def _components(self, isolated: int = 0) -> Iterator[list[int]]:
+    def _components(self) -> Iterator[list[int]]:
         """Each component's vertices in breadth-first order from its first
         vertex in iteration order. The list is the walk's queue, so it
-        grows while it is walked; the walk stops once every vertex is seen.
-        Told that the graph has isolated vertices, it skips them and stops
-        once every other vertex is seen."""
+        grows while it is walked; the walk stops once every vertex is seen."""
         adj = self._adj
         seen: set[int] = set()
-        rest = len(adj) - isolated
         for s in adj:
-            if s in seen or (isolated and not adj[s]):
+            if s in seen:
                 continue
             seen.add(s)
             comp = [s]
@@ -242,7 +232,7 @@ class Graph:
                         seen.add(w)
                         comp.append(w)
             yield comp
-            if len(seen) == rest:
+            if len(seen) == len(adj):
                 return
 
     def is_connected(self) -> bool:

@@ -225,13 +225,14 @@ def _search(g: Graph, cap: int, budget: int, first_fit: bool) -> tuple[_Result, 
 
     The copy leaves out g's isolated vertices, which on a large sparse input
     can be an eighth of it. That is exact: the root's degree peel, handed
-    None, would delete each of them, and deleting one writes no trace entry
-    and touches no other vertex, so the peel leaves the graph, down to the
-    order of each neighbor set, as it leaves a full clone. A graph with no
-    edge answers at once either way."""
+    None, would delete each of them with no trace entry and no effect on
+    another vertex, so it leaves the graph, down to each neighbor set's
+    order, as it leaves a full clone. ``tau_root`` is read off the copy:
+    an isolated vertex adds one to both n and c in m - n + c."""
     stats = SearchStats()
-    stats.tau_root = circuit_rank(g)
-    stack = [_node(g.clone_without_isolated(), cap, first_fit, None, budget, stats)]
+    root = g.clone_without_isolated()
+    stats.tau_root = circuit_rank(root)
+    stack = [_node(root, cap, first_fit, None, budget, stats)]
     result: _Result = None
     while stack:
         try:

@@ -25,10 +25,11 @@ def strip_lines(g: Graph) -> Graph:
     """Copy of g with all pendant paths and isolated vertices removed: its
     2-core, in which every vertex has degree >= 2.
 
-    A vertex of degree <= 1 is deleted, and each neighbor it leaves at
-    degree <= 1 joins the queue, until none is left.
+    The copy leaves out the isolated vertices, whose deletion touches no
+    other vertex; then a vertex of degree <= 1 is deleted, and each
+    neighbor it leaves at degree <= 1 joins the queue, until none is left.
     """
-    s = g.clone()
+    s = g.clone_without_isolated()
     adj = s.adjacency()
     low = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
     while low:
@@ -39,8 +40,7 @@ def strip_lines(g: Graph) -> Graph:
 
 
 def circuit_rank(g: Graph) -> int:
-    """m - n + c, in O(n + m); ``Graph.num_components`` counts the isolated
-    vertices without walking them."""
+    """m - n + c, in O(n + m); isolated vertices leave it unchanged."""
     return g.num_edges() - g.num_vertices() + g.num_components()
 
 

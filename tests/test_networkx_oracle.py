@@ -53,8 +53,10 @@ def test_circuit_rank_is_the_cycle_basis_size():
 
 
 def test_counts_with_many_isolated_vertices():
-    """Graph counts isolated vertices without walking them, and tests
-    connectivity on its first component alone; networkx walks them all."""
+    """Graph walks isolated vertices as components of one vertex each, and
+    tests connectivity on its first component alone; a copy without them
+    has as many fewer components and the same circuit rank, which is what
+    the search reads ``tau_root`` off."""
     rng = random.Random(32)
     for i in range(300):
         n = rng.randrange(40)
@@ -65,6 +67,9 @@ def test_counts_with_many_isolated_vertices():
         h = to_networkx(g)
         assert g.num_components() == nx.number_connected_components(h), i
         assert circuit_rank(g) == len(nx.cycle_basis(h)), i
+        root = g.clone_without_isolated()
+        assert root.num_components() == nx.number_connected_components(h) - nx.number_of_isolates(h), i
+        assert circuit_rank(root) == circuit_rank(g), i
         assert g.is_connected() == (n == 0 or nx.is_connected(h)), i
         assert g.connected_components() == sorted(sorted(c) for c in nx.connected_components(h)), i
 

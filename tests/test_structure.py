@@ -16,7 +16,7 @@ from cyclecover.structure import (
 )
 
 from conftest import mixed_instance
-from graph_checks import is_forest
+from graph_checks import is_forest, snapshot
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]),
@@ -47,6 +47,34 @@ def test_strip_lines_removes_all_low_degree():
     assert tau(s) == tau(g) == 1
     # original untouched
     assert g.has_vertex(4)
+
+    # isolated vertices among the others: the copy leaves them out, and the
+    # 2-core, down to dict and set order and the triangle index, is the one
+    # a full clone peeled the same way leaves
+    rng = random.Random(33)
+    for i in range(300):
+        n = rng.randrange(1, 30)
+        ids = rng.sample(range(2 * n), n)
+        joined = ids[: rng.randint(0, n)]
+        edges = [rng.sample(joined, 2) for _ in range(rng.randrange(2 * len(joined) + 1))] if len(joined) > 1 else []
+        g = Graph.from_edges(edges, ids)
+        if i % 2:
+            g.triangles  # builds the index, which both copies carry
+        before = snapshot(g)
+        assert snapshot(strip_lines(g)) == snapshot(_clone_then_peel(g)), i
+        assert snapshot(g) == before, i
+
+
+def _clone_then_peel(g: Graph) -> Graph:
+    """The 2-core peel on a full clone, isolated vertices included."""
+    s = g.clone()
+    adj = s.adjacency()
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+    while low:
+        v = low.pop()
+        if v in adj:
+            low += [w for w in s.remove_vertex(v) if len(adj[w]) <= 1]
+    return s
 
 
 @given(edge_lists)
